@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build the three presets, run the full test
 # suite once on the default build (plus the perf smoke label, the
+# end-to-end benchmark's own tests, the
 # durability and storage acceptance labels, and the scan / service /
 # governance / integrity / storage benchmarks writing their BENCH_*.json
 # baselines), and re-run the concurrency-sensitive suites (fault injection
@@ -96,6 +97,8 @@ run_preset() {
       ctest --preset default
       echo "==> [${preset}] perf smoke suite"
       ctest --preset default -L perf
+      echo "==> [${preset}] end-to-end benchmark self-tests (perfbench)"
+      python3 perfbench/test_perfbench.py
       echo "==> [${preset}] vectorized/fused-pipeline scan benchmark"
       cp -f BENCH_scan.json BENCH_scan.baseline.json 2>/dev/null || true
       ./build/bench/micro_scan --json BENCH_scan.json

@@ -137,26 +137,29 @@ std::string ReadSealedFile(const std::string& path) {
 
 std::string RenderManifest(const CheckpointManifest& m) {
   std::ostringstream out;
-  out << "sqloop_checkpoint=1\n";
+  out << "sqloop_checkpoint=2\n";
   out << "round=" << m.round << "\n";
   out << "mode=" << m.mode << "\n";
   out << "partitions=" << m.partitions << "\n";
   if (!m.table_file.empty()) out << "table_file=" << m.table_file << "\n";
-  if (!m.partition_files.empty()) {
-    std::string joined;
-    for (size_t i = 0; i < m.partition_files.size(); ++i) {
-      if (i > 0) joined += ',';
-      joined += m.partition_files[i];
+  const auto files = [&out](const char* key,
+                            const std::vector<std::string>& names) {
+    if (names.empty()) return;
+    out << key << '=';
+    for (size_t i = 0; i < names.size(); ++i) {
+      out << (i > 0 ? "," : "") << names[i];
     }
-    out << "partition_files=" << joined << "\n";
-  }
+    out << "\n";
+  };
+  files("partition_files", m.partition_files);
+  files("message_files", m.message_files);
   out << "message_count=" << m.messages.size() << "\n";
   for (size_t i = 0; i < m.messages.size(); ++i) {
     const auto& msg = m.messages[i];
-    out << "message." << i << "=" << msg.table << "|" << msg.file << "|"
-        << msg.source << "|" << JoinSizes(msg.targets) << "\n";
+    out << "message." << i << "=" << msg.source << "|" << msg.seq << "|"
+        << JoinSizes(msg.targets) << "\n";
   }
-  out << "consumed=" << JoinSizes(m.consumed) << "\n";
+  out << "consumed=" << JoinU64(m.consumed) << "\n";
   out << "message_seq=" << m.message_seq << "\n";
   out << "dispatch_seq=" << m.dispatch_seq << "\n";
   out << "last_dispatch=" << JoinU64(m.last_dispatch) << "\n";
@@ -186,7 +189,7 @@ CheckpointManifest ParseManifest(const std::string& body) {
     }
     return it->second;
   };
-  if (require("sqloop_checkpoint") != "1") {
+  if (require("sqloop_checkpoint") != "2") {
     throw ExecutionError("unsupported manifest version");
   }
   CheckpointManifest m;
@@ -199,20 +202,20 @@ CheckpointManifest ParseManifest(const std::string& body) {
   if (const auto it = fields.find("partition_files"); it != fields.end()) {
     m.partition_files = SplitList(it->second);
   }
+  if (const auto it = fields.find("message_files"); it != fields.end()) {
+    m.message_files = SplitList(it->second);
+  }
   const size_t message_count = ParseU64(require("message_count"));
   for (size_t i = 0; i < message_count; ++i) {
     const std::string& entry = require("message." + std::to_string(i));
     const size_t bar1 = entry.find('|');
     const size_t bar2 =
         bar1 == std::string::npos ? bar1 : entry.find('|', bar1 + 1);
-    const size_t bar3 =
-        bar2 == std::string::npos ? bar2 : entry.find('|', bar2 + 1);
-    if (bar3 == std::string::npos) throw ExecutionError("bad message entry");
-    CheckpointManifest::MessageEntry msg;
-    msg.table = entry.substr(0, bar1);
-    msg.file = entry.substr(bar1 + 1, bar2 - bar1 - 1);
-    msg.source = ParseU64(entry.substr(bar2 + 1, bar3 - bar2 - 1));
-    for (const std::string& t : SplitList(entry.substr(bar3 + 1))) {
+    if (bar2 == std::string::npos) throw ExecutionError("bad message entry");
+    MessageBatch msg;
+    msg.source = ParseU64(entry.substr(0, bar1));
+    msg.seq = ParseU64(entry.substr(bar1 + 1, bar2 - bar1 - 1));
+    for (const std::string& t : SplitList(entry.substr(bar2 + 1))) {
       msg.targets.push_back(ParseU64(t));
     }
     m.messages.push_back(std::move(msg));
@@ -242,7 +245,7 @@ std::vector<std::string> DumpFilesOf(const CheckpointManifest& m) {
   std::vector<std::string> files;
   if (!m.table_file.empty()) files.push_back(m.table_file);
   for (const auto& f : m.partition_files) files.push_back(f);
-  for (const auto& msg : m.messages) files.push_back(msg.file);
+  for (const auto& f : m.message_files) files.push_back(f);
   return files;
 }
 
@@ -423,7 +426,7 @@ std::optional<CheckpointManifest> RecoveryManager::FindLatestValid() const {
       const std::string dir = path.string();
       if (!m.table_file.empty()) m.table_file = dir + "/" + m.table_file;
       for (auto& f : m.partition_files) f = dir + "/" + f;
-      for (auto& msg : m.messages) msg.file = dir + "/" + msg.file;
+      for (auto& f : m.message_files) f = dir + "/" + f;
       return m;
     } catch (...) {
       // Torn or corrupt candidate: fall back to the next-newest.

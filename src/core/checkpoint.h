@@ -2,8 +2,9 @@
 // "Checkpointing & recovery").
 //
 // At a configurable round cadence the runners persist a *consistent job
-// manifest*: the CTE state (whole table, or every partition table plus the
-// not-yet-consumed message tables), the iteration number, the scheduler
+// manifest*: the CTE state (whole table, or every partition and message
+// table plus the registry of unreclaimed message batches), the iteration
+// number, the scheduler
 // state AsyncP needs for bit-identical tie-breaking, and a content hash
 // over all dump files. Table payloads go through the minidb DUMP TABLE
 // fast path (tmp + atomic rename + CRC footer, see minidb/dump.h); the
@@ -27,6 +28,17 @@
 
 namespace sqloop::core {
 
+/// One registered Compute output of the parallel runner: the rows tagged
+/// `seq` in the producing partition's message table.
+struct MessageBatch {
+  size_t source = 0;  // producing partition = message table
+  uint64_t seq = 0;   // increasing per source (its computes serialize)
+  // Partitions the batch's rows belong to (sorted; empty = unknown, treat
+  // as "all"); AsyncP uses it to skip idle partitions without missing
+  // messages addressed to them.
+  std::vector<size_t> targets;
+};
+
 /// Everything a checkpoint captured. File members hold paths relative to
 /// the checkpoint directory on disk; RecoveryManager returns them resolved
 /// to absolute-usable paths.
@@ -38,23 +50,18 @@ struct CheckpointManifest {
   // Single-thread runner: the CTE table dump.
   std::string table_file;
 
-  // Parallel runner: one dump per partition table, index == partition id.
+  // Parallel runner: one dump per partition table and one per message
+  // table, index == partition id.
   std::vector<std::string> partition_files;
+  std::vector<std::string> message_files;
 
-  /// A not-yet-dropped message table: name, dump file, and the partitions
-  /// its rows target (empty = broadcast, mirrors the message registry).
-  struct MessageEntry {
-    std::string table;
-    std::string file;
-    size_t source = 0;  // producing partition; orders gather unions
-    std::vector<size_t> targets;
-  };
-  std::vector<MessageEntry> messages;
+  /// The registered batches not yet reclaimed, in seq order.
+  std::vector<MessageBatch> messages;
 
-  /// Per-partition consumed watermark into the message registry.
-  std::vector<size_t> consumed;
+  /// Per partition: the seq up to which it has read its batches.
+  std::vector<uint64_t> consumed;
 
-  uint64_t message_seq = 0;  // next message-table sequence number
+  uint64_t message_seq = 0;  // seq high-water mark
 
   // AsyncP scheduler state, needed for bit-identical dispatch tie-breaking.
   uint64_t dispatch_seq = 0;

@@ -50,23 +50,6 @@ Value AggregateIdentity(sql::AggFunc f) {
   throw UsageError("unknown aggregate");
 }
 
-/// The aggregate the Gather side applies to partial message values —
-/// COUNT partials are combined with SUM (paper §V-D).
-sql::AggFunc GatherAggregate(sql::AggFunc f) {
-  switch (f) {
-    case sql::AggFunc::kSum:
-    case sql::AggFunc::kCount:
-      return sql::AggFunc::kSum;
-    case sql::AggFunc::kMin:
-      return sql::AggFunc::kMin;
-    case sql::AggFunc::kMax:
-      return sql::AggFunc::kMax;
-    case sql::AggFunc::kAvg:
-      break;  // AVG gathers SUM/COUNT pairs; handled separately
-  }
-  throw UsageError("GatherAggregate not defined for AVG");
-}
-
 // Hidden accumulator columns backing parallel AVG (paper §V-D: a Gather
 // needs both the SUM and the COUNT to accumulate averages).
 constexpr const char* kAvgSumColumn = "sqloop_avg_sum";
@@ -77,6 +60,13 @@ constexpr const char* kAvgCntColumn = "sqloop_avg_cnt";
 // improved it (otherwise converged regions would message forever and
 // AsyncP could never skip them). 1 = changed since the last Compute.
 constexpr const char* kDirtyColumn = "sqloop_dirty";
+
+/// Whether `batch` holds rows for `partition` (no recorded targets: maybe).
+bool Addresses(const MessageBatch& batch, size_t partition) {
+  return batch.targets.empty() ||
+         std::binary_search(batch.targets.begin(), batch.targets.end(),
+                            partition);
+}
 
 // Dispatch tracing for scheduler debugging (SQLOOP_SCHED_TRACE=1).
 const bool kSchedulerTrace = std::getenv("SQLOOP_SCHED_TRACE") != nullptr;
@@ -114,9 +104,11 @@ ParallelRunner::ParallelRunner(std::string url, dbc::Connection& master,
   priorities_.assign(partitions_, std::nullopt);
   priority_known_.assign(partitions_, false);
 
-  // Message table layout (paper §V-C/§V-D), plus an indexed target-
-  // partition column so each Gather reads only its own rows ("indexes on
-  // all tables ... ensure that unnecessary scans will be avoided", §V-C).
+  // Message table layout (paper §V-C/§V-D): the batch seq, the message,
+  // and an indexed target-partition column so each Gather reads only its
+  // own rows ("indexes on all tables ... ensure that unnecessary scans will
+  // be avoided", §V-C).
+  message_schema_.push_back({"seq", ValueType::kInt64, ""});
   message_schema_.push_back({"id", schema_[0].type, ""});
   if (analysis_.aggregate == sql::AggFunc::kAvg) {
     message_schema_.push_back({"sval", ValueType::kDouble, ""});
@@ -135,6 +127,10 @@ std::string ParallelRunner::MjoinTable(size_t k) const {
   return base_ + "_mj" + std::to_string(k);
 }
 
+std::string ParallelRunner::MessageTable(size_t k) const {
+  return base_ + "_msg" + std::to_string(k);
+}
+
 // ---------------------------------------------------------------------------
 // Setup
 // ---------------------------------------------------------------------------
@@ -147,6 +143,7 @@ void ParallelRunner::DropLeftovers() {
   for (size_t k = 0; k < partitions_; ++k) {
     master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
     master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+    master_.AddBatch(translator_.DropTableSql(MessageTable(k)));
   }
   MasterExecuteBatch();
 }
@@ -203,6 +200,19 @@ void ParallelRunner::CreatePartitions() {
     }
   }
   master_.AddBatch(translator_.DropTableSql(staging));
+  MasterExecuteBatch();
+}
+
+void ParallelRunner::CreateMessageTables(bool restored) {
+  for (size_t k = 0; k < partitions_; ++k) {
+    const std::string msg = MessageTable(k);
+    if (!restored) {
+      master_.AddBatch(translator_.CreateTableSql(msg, message_schema_, -1));
+    }
+    // Dumps carry rows, not indexes, so a restored table needs it too.
+    master_.AddBatch("CREATE INDEX " + translator_.Quote(msg + "_t") +
+                     " ON " + translator_.Quote(msg) + " (target_pt)");
+  }
   MasterExecuteBatch();
 }
 
@@ -268,21 +278,60 @@ void ParallelRunner::BuildTaskSql() {
   const bool keep_delta = analysis_.aggregate == sql::AggFunc::kMin ||
                           analysis_.aggregate == sql::AggFunc::kMax;
   const std::string key = schema_[0].name;
+  const std::string alias = translator_.Quote(analysis_.primary_alias);
+  const std::string delta = translator_.Quote(analysis_.delta_column);
 
-  message_select_.resize(partitions_);
+  // The Gather's accumulation, shared by every partition's statement:
+  // `fold` combines the unioned messages per id into `m`, `set_list`
+  // applies m to the partition row (paper §V-D: COUNT partials are
+  // combined with SUM; AVG carries SUM/COUNT pairs).
+  const std::string own = alias + "." + delta;
+  std::string fold = "SUM(val) AS v";
+  std::string set_list = delta + " = " + own + " + m.v";
+  if (avg) {
+    // Accumulate the pairs and recompute the user's expression with the
+    // aggregate replaced by the accumulated ratio.
+    std::vector<const sql::Expr*> aggs;
+    minidb::CollectAggregates(*analysis_.delta_expr, aggs);
+    const std::string sum = alias + "." + kAvgSumColumn;
+    const std::string cnt = alias + "." + kAvgCntColumn;
+    const auto ratio = sql::ParseSelect("SELECT (" + sum + " + m.s) / ((" +
+                                        cnt + " + m.c) + 0.0)");
+    fold = "SUM(sval) AS s, SUM(cval) AS c";
+    set_list = std::string(kAvgSumColumn) + " = " + sum + " + m.s, " +
+               kAvgCntColumn + " = " + cnt + " + m.c, " + delta +
+               " = CASE WHEN (" + cnt + " + m.c) = 0 THEN " + own + " ELSE " +
+               translator_.Render(*SubstituteAggregate(
+                   *analysis_.delta_expr, *aggs.at(0),
+                   *ratio->cores[0].items[0].expr)) +
+               " END";
+  } else if (keep_delta) {
+    // MIN/MAX also re-arm sending for the rows a message improved.
+    const bool min = analysis_.aggregate == sql::AggFunc::kMin;
+    fold = std::string(min ? "MIN" : "MAX") + "(val) AS v";
+    set_list = delta + " = " + (min ? "LEAST(" : "GREATEST(") + own +
+               ", m.v), " + kDirtyColumn + " = CASE WHEN m.v " +
+               (min ? "<" : ">") + " " + own + " THEN 1 ELSE " + alias + "." +
+               kDirtyColumn + " END";
+  }
+
+  append_sql_.resize(partitions_);
+  gather_sql_.resize(partitions_);
   update_sql_.resize(partitions_);
 
   for (size_t k = 0; k < partitions_; ++k) {
     const std::string pt = PartitionTable(k);
 
     // Step 1 of Compute: the message query — Ridelta computed from the
-    // partition's own rows joined with its materialized constant join.
-    // (Runs before the own-column update; the workloads' message
-    // expressions read Delta or LEAST(own, Delta), both invariant under
-    // that update.)
+    // partition's own rows joined with its materialized constant join,
+    // appended to the partition's message table as one batch whose seq is
+    // the statement's only bind. (Runs before the own-column update; the
+    // workloads' message expressions read Delta or LEAST(own, Delta), both
+    // invariant under that update.)
     {
       auto select = std::make_unique<sql::SelectStmt>();
       sql::SelectCore core;
+      core.items.push_back({sql::MakeParameter(0), "seq"});
       core.items.push_back(
           {sql::MakeColumnRef(analysis_.mid_alias, analysis_.mid_to_key),
            "id"});
@@ -346,7 +395,8 @@ void ParallelRunner::BuildTaskSql() {
       core.group_by.push_back(
           sql::MakeColumnRef(analysis_.mid_alias, analysis_.mid_to_key));
       select->cores.push_back(std::move(core));
-      message_select_[k] = translator_.Render(*select);
+      append_sql_[k] = "INSERT INTO " + translator_.Quote(MessageTable(k)) +
+                       " " + translator_.Render(*select);
     }
 
     // Step 2 of Compute, combined: update the partition's own columns and
@@ -378,10 +428,26 @@ void ParallelRunner::BuildTaskSql() {
         update.set_items.emplace_back(kDirtyColumn,
                                       sql::MakeLiteral(Value(int64_t{0})));
       }
-      if (!update.set_items.empty()) {
-        update_sql_[k] = translator_.Render(update);
-      }
+      update_sql_[k] = translator_.Render(update);
     }
+
+    // Gather: one statement over the union of every message table (paper
+    // §V-C), each arm reading this partition's rows through the target
+    // index, keeping the unread seq range (lo, hi]. Arms run in source
+    // order and each table holds its batches in seq order, so every
+    // floating-point SUM accumulates in an order independent of worker
+    // timing, and therefore of the pool width.
+    std::string union_sql;
+    for (size_t source = 0; source < partitions_; ++source) {
+      if (source > 0) union_sql += " UNION ALL ";
+      union_sql += "SELECT * FROM " + translator_.Quote(MessageTable(source)) +
+                   " WHERE target_pt = " + std::to_string(k);
+    }
+    gather_sql_[k] = "UPDATE " + translator_.Quote(pt) + " AS " + alias +
+                     " SET " + set_list + " FROM (SELECT id, " + fold +
+                     " FROM (" + union_sql + ") AS msgs" +
+                     " WHERE seq > ? AND seq <= ? GROUP BY id) AS m WHERE " +
+                     alias + "." + translator_.Quote(key) + " = m.id";
   }
 }
 
@@ -389,161 +455,109 @@ void ParallelRunner::BuildTaskSql() {
 // Tasks
 // ---------------------------------------------------------------------------
 
+std::vector<dbc::PreparedStatement>& ParallelRunner::StatementsFor(
+    dbc::Connection& conn, size_t partition) {
+  const auto key = std::make_pair(&conn, partition);
+  {
+    const std::scoped_lock lock(statements_mutex_);
+    if (const auto it = statements_.find(key); it != statements_.end()) {
+      return it->second;
+    }
+  }
+  const std::string msg = translator_.Quote(MessageTable(partition));
+  std::vector<std::string> sqls = {
+      append_sql_[partition], "TRUNCATE TABLE " + msg,
+      "DELETE FROM " + msg + " WHERE seq < ?", gather_sql_[partition],
+      update_sql_[partition]};
+  if (options_.mode == ExecutionMode::kAsyncPriority) {
+    sqls.push_back("SELECT DISTINCT target_pt FROM " + msg + " WHERE seq = ?");
+    if (!options_.priority_query.empty()) {
+      sqls.push_back(ReplaceAll(options_.priority_query, "$PARTITION",
+                                PartitionTable(partition)));
+    }
+  }
+  auto handles = conn.PrepareAll(std::move(sqls));
+  const std::scoped_lock lock(statements_mutex_);
+  return statements_.emplace(key, std::move(handles)).first->second;
+}
+
+void ParallelRunner::ReclaimMessages(
+    size_t partition, std::vector<dbc::PreparedStatement>& stmts) {
+  // Only the owner writes its table and its computes serialize, so the
+  // table holds exactly the live batches, oldest first.
+  std::vector<uint64_t> reclaimable;
+  uint64_t keep_from = 0;  // seq of the oldest batch someone still needs
+  {
+    const std::scoped_lock lock(registry_mutex_);
+    for (const auto& [seq, batch] : batches_) {
+      if (batch.source != partition) continue;
+      if (!ConsumedByAllTargets(batch)) {
+        keep_from = seq;
+        break;
+      }
+      reclaimable.push_back(seq);
+    }
+  }
+  if (reclaimable.empty()) return;
+  if (keep_from == 0) {
+    // TRUNCATE frees the row payloads a DELETE would leave behind as
+    // tombstones, and — not being DDL — leaves the catalog version, and so
+    // every cached plan, untouched.
+    stmts[kTruncate].ExecuteUpdate();
+  } else {
+    stmts[kReclaim].SetInt64(1, static_cast<int64_t>(keep_from));
+    stmts[kReclaim].ExecuteUpdate();
+  }
+  const std::scoped_lock lock(registry_mutex_);
+  for (const uint64_t seq : reclaimable) batches_.erase(seq);
+}
+
 uint64_t ParallelRunner::RunCompute(size_t partition, dbc::Connection& conn,
                                     ComputeAttempt& attempt) {
-  uint64_t updates = 0;
-
+  std::vector<dbc::PreparedStatement>& stmts = StatementsFor(conn, partition);
   if (!attempt.messages_done) {
-    if (!attempt.orphan.empty()) {
-      // A previous attempt failed after creating its message table but
-      // before handing it to the registry; a retry must not leave that
-      // partial table behind (DROP ... IF EXISTS also covers a fault
-      // before the CREATE was applied).
-      const std::string orphan = attempt.orphan;
-      conn.Execute(translator_.DropTableSql(orphan));
-      ClearPendingOrphan(orphan);
-      attempt.orphan.clear();
+    if (attempt.appended < 0) {
+      ReclaimMessages(partition, stmts);
+      // A retry after a failed append reuses the seq: nothing was written.
+      if (attempt.seq == 0) attempt.seq = AllocateSeq();
+      stmts[kAppend].SetInt64(1, static_cast<int64_t>(attempt.seq));
+      attempt.appended = static_cast<int64_t>(stmts[kAppend].ExecuteUpdate());
     }
-    const uint64_t seq = message_seq_.fetch_add(1);
-    const std::string msg = base_ + "_msg" + std::to_string(seq);
-    attempt.orphan = msg;
-    // Track the name before the CREATE: if a fatal error (cancellation,
-    // quota) aborts this task mid-INSERT, the retry path that normally
-    // drops the orphan never runs, and Cleanup must know the name or the
-    // table would survive the run and collide with a resumed incarnation
-    // re-allocating the same seq.
-    AddPendingOrphan(msg);
-    conn.Execute(translator_.CreateTableSql(msg, message_schema_, -1));
-    const size_t produced = conn.ExecuteUpdate(
-        "INSERT INTO " + translator_.Quote(msg) + " " +
-        message_select_[partition]);
-    if (produced > 0) {
-      conn.Execute("CREATE INDEX " + translator_.Quote(msg + "_t") + " ON " +
-                   translator_.Quote(msg) + " (target_pt)");
-      std::vector<size_t> targets;
-      if (options_.mode == ExecutionMode::kAsyncPriority) {
-        // Record which partitions this table addresses so idle partitions
-        // can be skipped safely (paper SV-E: avoid unproductive tasks).
-        const auto result = conn.ExecuteQuery(
-            "SELECT DISTINCT target_pt FROM " + translator_.Quote(msg));
-        targets.reserve(result.rows.size());
-        for (const auto& row : result.rows) {
-          targets.push_back(static_cast<size_t>(row[0].as_int()));
-        }
-        std::sort(targets.begin(), targets.end());
+    MessageBatch batch;
+    batch.source = partition;
+    batch.seq = attempt.seq;
+    if (attempt.appended > 0 && stmts.size() > kTargets) {
+      // Record which partitions this batch addresses so idle partitions
+      // can be skipped safely (paper §V-E: avoid unproductive tasks).
+      stmts[kTargets].SetInt64(1, static_cast<int64_t>(attempt.seq));
+      for (const auto& row : stmts[kTargets].ExecuteQuery().rows) {
+        batch.targets.push_back(static_cast<size_t>(row[0].as_int()));
       }
-      // Once registered the table is owned by the registry — and must
-      // never be registered twice, or gathers would double-count deltas.
-      ClearPendingOrphan(msg);
-      attempt.orphan.clear();
-      RegisterMessageTable(msg, partition, std::move(targets));
-    } else {
-      conn.Execute(translator_.DropTableSql(msg));
-      ClearPendingOrphan(msg);
-      attempt.orphan.clear();
+      std::sort(batch.targets.begin(), batch.targets.end());
     }
+    // Registered exactly once: gathers would double-count otherwise.
+    ResolveBatch(std::move(batch), attempt.appended > 0);
     attempt.messages_done = true;
   }
 
-  if (!update_sql_[partition].empty()) {
-    updates += conn.ExecuteUpdate(update_sql_[partition]);
-  }
+  const uint64_t updates = stmts[kUpdate].ExecuteUpdate();
   compute_tasks_.fetch_add(1);
   return updates;
 }
 
 uint64_t ParallelRunner::RunGather(size_t partition, dbc::Connection& conn) {
-  auto [unread, upto] = UnreadMessages(partition);
-  if (unread.empty()) {
-    MarkConsumed(partition, upto);  // nothing addressed to this partition
-    gather_tasks_.fetch_add(1);
-    return 0;
+  const UnreadMessages unread = Unread(partition);
+  uint64_t updates = 0;
+  if (unread.batches > 0) {  // else nothing is addressed to this partition
+    dbc::PreparedStatement& gather = StatementsFor(conn, partition)[kGather];
+    gather.SetInt64(1, static_cast<int64_t>(unread.lo));
+    gather.SetInt64(2, static_cast<int64_t>(unread.hi));
+    updates = gather.ExecuteUpdate();
   }
-
-  // One statement unions every unread message table (paper §V-C: "a
-  // single query that contains the union of all the message tables");
-  // each arm reads only this partition's rows through the target index.
-  const bool avg_msgs = analysis_.aggregate == sql::AggFunc::kAvg;
-  const std::string msg_columns = avg_msgs ? "id, sval, cval" : "id, val";
-  std::string union_sql;
-  for (size_t i = 0; i < unread.size(); ++i) {
-    if (i > 0) union_sql += " UNION ALL ";
-    union_sql += "SELECT " + msg_columns + " FROM " +
-                 translator_.Quote(unread[i]) + " WHERE target_pt = " +
-                 std::to_string(partition);
-  }
-
-  const std::string pt = translator_.Quote(PartitionTable(partition));
-  const std::string alias = translator_.Quote(analysis_.primary_alias);
-  const std::string delta = translator_.Quote(analysis_.delta_column);
-  const std::string key = translator_.Quote(schema_[0].name);
-
-  std::string sql;
-  if (analysis_.aggregate == sql::AggFunc::kAvg) {
-    // Accumulate SUM/COUNT pairs, recompute the user's expression with the
-    // aggregate replaced by the accumulated ratio (paper §V-D).
-    const sql::Expr* agg = nullptr;
-    {
-      std::vector<const sql::Expr*> aggs;
-      minidb::CollectAggregates(*analysis_.delta_expr, aggs);
-      agg = aggs.at(0);
-    }
-    const std::string sum_ref =
-        "(" + alias + "." + std::string(kAvgSumColumn) + " + m.s)";
-    const std::string cnt_ref =
-        "(" + alias + "." + std::string(kAvgCntColumn) + " + m.c)";
-    const auto ratio =
-        sql::ParseSelect("SELECT " + sum_ref + " / (" + cnt_ref + " + 0.0)");
-    const auto rewritten = SubstituteAggregate(
-        *analysis_.delta_expr, *agg, *ratio->cores[0].items[0].expr);
-    sql = "UPDATE " + pt + " AS " + alias + " SET " +
-          std::string(kAvgSumColumn) + " = " + alias + "." +
-          std::string(kAvgSumColumn) + " + m.s, " +
-          std::string(kAvgCntColumn) + " = " + alias + "." +
-          std::string(kAvgCntColumn) + " + m.c, " + delta +
-          " = CASE WHEN " + cnt_ref + " = 0 THEN " + alias + "." + delta +
-          " ELSE " + translator_.Render(*rewritten) + " END" +
-          " FROM (SELECT id, SUM(sval) AS s, SUM(cval) AS c FROM (" +
-          union_sql + ") AS msgs GROUP BY id) AS m WHERE " + alias + "." +
-          key + " = m.id";
-  } else {
-    std::string combine;
-    std::string dirty_update;
-    switch (analysis_.aggregate) {
-      case sql::AggFunc::kSum:
-      case sql::AggFunc::kCount:
-        combine = alias + "." + delta + " + m.v";
-        break;
-      case sql::AggFunc::kMin:
-        combine = "LEAST(" + alias + "." + delta + ", m.v)";
-        dirty_update = ", " + std::string(kDirtyColumn) +
-                       " = CASE WHEN m.v < " + alias + "." + delta +
-                       " THEN 1 ELSE " + alias + "." +
-                       std::string(kDirtyColumn) + " END";
-        break;
-      case sql::AggFunc::kMax:
-        combine = "GREATEST(" + alias + "." + delta + ", m.v)";
-        dirty_update = ", " + std::string(kDirtyColumn) +
-                       " = CASE WHEN m.v > " + alias + "." + delta +
-                       " THEN 1 ELSE " + alias + "." +
-                       std::string(kDirtyColumn) + " END";
-        break;
-      default:
-        throw UsageError("unexpected aggregate in gather");
-    }
-    sql = "UPDATE " + pt + " AS " + alias + " SET " + delta + " = " +
-          combine + dirty_update + " FROM (SELECT id, " +
-          std::string(sql::AggFuncName(GatherAggregate(analysis_.aggregate))) +
-          "(val) AS v FROM (" + union_sql +
-          ") AS msgs GROUP BY id) AS m WHERE " + alias + "." + key +
-          " = m.id";
-  }
-
-  const uint64_t updates = conn.ExecuteUpdate(sql);
-  MarkConsumed(partition, upto);
+  MarkConsumed(partition, unread.hi);
   // Counted at completion (not entry) so a retried gather counts once.
   gather_tasks_.fetch_add(1);
-  messages_consumed_.fetch_add(unread.size());
+  messages_consumed_.fetch_add(unread.batches);
   return updates;
 }
 
@@ -735,90 +749,46 @@ void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
 // Message registry
 // ---------------------------------------------------------------------------
 
-void ParallelRunner::AddPendingOrphan(const std::string& name) {
+uint64_t ParallelRunner::AllocateSeq() {
   const std::scoped_lock lock(registry_mutex_);
-  pending_orphans_.insert(name);
+  unregistered_.insert(++message_seq_);
+  return message_seq_;
 }
 
-void ParallelRunner::ClearPendingOrphan(const std::string& name) {
+void ParallelRunner::ResolveBatch(MessageBatch batch, bool appended) {
   const std::scoped_lock lock(registry_mutex_);
-  pending_orphans_.erase(name);
-}
-
-void ParallelRunner::RegisterMessageTable(std::string name, size_t source,
-                                          std::vector<size_t> targets) {
-  const std::scoped_lock lock(registry_mutex_);
-  message_tables_.push_back(std::move(name));
-  message_sources_.push_back(source);
-  message_targets_.push_back(std::move(targets));
+  unregistered_.erase(batch.seq);
+  if (!appended) return;
+  batches_.emplace(batch.seq, std::move(batch));
   message_count_.fetch_add(1);
 }
 
-std::pair<std::vector<std::string>, size_t> ParallelRunner::UnreadMessages(
-    size_t partition) {
+ParallelRunner::UnreadMessages ParallelRunner::Unread(size_t partition) {
   const std::scoped_lock lock(registry_mutex_);
-  const size_t upto = message_tables_.size();
-  std::vector<size_t> indices;
-  for (size_t i = consumed_[partition]; i < upto; ++i) {
-    const auto& targets = message_targets_[i];
-    if (targets.empty() ||
-        std::binary_search(targets.begin(), targets.end(), partition)) {
-      indices.push_back(i);
-    }
+  UnreadMessages unread;
+  unread.lo = consumed_[partition];
+  // Below the oldest unregistered seq every batch is registered (or empty),
+  // so the range never holds rows of an append still in flight.
+  unread.hi =
+      unregistered_.empty() ? message_seq_ : *unregistered_.begin() - 1;
+  for (auto it = batches_.upper_bound(unread.lo);
+       it != batches_.end() && it->first <= unread.hi; ++it) {
+    if (Addresses(it->second, partition)) ++unread.batches;
   }
-  // Registration order is a worker-timing race; the producing partition is
-  // not. Ordering the union arms by source keeps the gather's accumulation
-  // order — and every floating-point SUM — reproducible across runs and
-  // pool widths (same-source ties keep creation order, which that
-  // partition's serialized computes make deterministic).
-  std::stable_sort(indices.begin(), indices.end(), [&](size_t a, size_t b) {
-    return message_sources_[a] < message_sources_[b];
-  });
-  std::vector<std::string> unread;
-  unread.reserve(indices.size());
-  for (const size_t i : indices) unread.push_back(message_tables_[i]);
-  return {std::move(unread), upto};
+  return unread;
 }
 
-bool ParallelRunner::HasUnreadTargetedMessages(size_t partition) {
+bool ParallelRunner::ConsumedByAllTargets(const MessageBatch& batch) const {
   // Caller holds registry_mutex_.
-  for (size_t i = consumed_[partition]; i < message_tables_.size(); ++i) {
-    const auto& targets = message_targets_[i];
-    if (targets.empty() ||
-        std::binary_search(targets.begin(), targets.end(), partition)) {
-      return true;
-    }
+  for (size_t k = 0; k < partitions_; ++k) {
+    if (consumed_[k] < batch.seq && Addresses(batch, k)) return false;
   }
-  return false;
+  return true;
 }
 
-void ParallelRunner::MarkConsumed(size_t partition, size_t upto) {
+void ParallelRunner::MarkConsumed(size_t partition, uint64_t upto) {
   const std::scoped_lock lock(registry_mutex_);
   consumed_[partition] = std::max(consumed_[partition], upto);
-}
-
-void ParallelRunner::DropFullyConsumedMessages() {
-  std::vector<std::string> droppable;
-  size_t minimum = 0;
-  {
-    const std::scoped_lock lock(registry_mutex_);
-    minimum = *std::min_element(consumed_.begin(), consumed_.end());
-    for (size_t i = dropped_prefix_; i < minimum; ++i) {
-      droppable.push_back(message_tables_[i]);
-    }
-  }
-  if (droppable.empty()) return;
-  for (const auto& name : droppable) {
-    master_.AddBatch(translator_.DropTableSql(name));
-  }
-  MasterExecuteBatch();
-  // Advance the prefix only once the drops are known to have executed: a
-  // cancellation that aborts the batch must not mark the tables dropped,
-  // or Cleanup would skip them and the leftovers would collide with a
-  // resumed incarnation (the drops are IF EXISTS, so a retry after a
-  // partially applied batch is harmless).
-  const std::scoped_lock lock(registry_mutex_);
-  dropped_prefix_ = std::max(dropped_prefix_, minimum);
 }
 
 // ---------------------------------------------------------------------------
@@ -843,6 +813,7 @@ void ParallelRunner::SetupCheckpointing() {
         (resume_from_->mode != ExecutionModeName(options_.mode) ||
          resume_from_->partitions != static_cast<int64_t>(partitions_) ||
          resume_from_->partition_files.size() != partitions_ ||
+         resume_from_->message_files.size() != partitions_ ||
          resume_from_->consumed.size() != partitions_)) {
       // Identity hashing should make this unreachable; a mismatched layout
       // cannot be resumed, so fall back to a fresh run.
@@ -862,42 +833,26 @@ bool ParallelRunner::RestoreFromCheckpoint() {
   const CheckpointManifest& m = *resume_from_;
   const double start = run_watch_.ElapsedSeconds();
 
-  // Table payloads: every partition table, then every message table still
-  // pending at capture time. The dump stores the full schema (hidden AVG /
-  // dirty columns included) and doubles as raw bit patterns, so the
-  // restored tables are indistinguishable from the killed run's.
+  // Table payloads: every partition table, then every message table. The
+  // dump stores the full schema (hidden AVG / dirty columns included) and
+  // doubles as raw bit patterns, so the restored tables are
+  // indistinguishable from the killed run's.
   for (size_t k = 0; k < partitions_; ++k) {
     master_.AddBatch("RESTORE TABLE " + translator_.Quote(PartitionTable(k)) +
                      " FROM " +
                      Value(m.partition_files[k]).ToSqlLiteral());
-  }
-  for (const auto& entry : m.messages) {
-    master_.AddBatch("RESTORE TABLE " + translator_.Quote(entry.table) +
-                     " FROM " + Value(entry.file).ToSqlLiteral());
-    // Dumps carry rows, not indexes; re-create the target index every
-    // registered message table has (RunCompute builds it on creation).
-    master_.AddBatch("CREATE INDEX " + translator_.Quote(entry.table + "_t") +
-                     " ON " + translator_.Quote(entry.table) +
-                     " (target_pt)");
+    master_.AddBatch("RESTORE TABLE " + translator_.Quote(MessageTable(k)) +
+                     " FROM " + Value(m.message_files[k]).ToSqlLiteral());
   }
   MasterExecuteBatch();
 
-  // Registry state. Checkpointed indexes are relative to the tables still
-  // alive at capture time (the dropped prefix is gone for good), so the
-  // rebuilt registry starts at prefix 0.
   {
     const std::scoped_lock lock(registry_mutex_);
-    message_tables_.clear();
-    message_sources_.clear();
-    message_targets_.clear();
-    for (const auto& entry : m.messages) {
-      message_tables_.push_back(entry.table);
-      message_sources_.push_back(entry.source);
-      message_targets_.push_back(entry.targets);
+    for (const MessageBatch& batch : m.messages) {
+      batches_.emplace(batch.seq, batch);
     }
     consumed_ = m.consumed;
-    dropped_prefix_ = 0;
-    message_seq_.store(m.message_seq);
+    message_seq_ = m.message_seq;
   }
 
   // AsyncP priority + dispatch state, for bit-identical tie-breaking.
@@ -930,16 +885,13 @@ void ParallelRunner::WriteCheckpoint(
   m.round = round;
   m.mode = ExecutionModeName(options_.mode);
   m.partitions = static_cast<int64_t>(partitions_);
-  for (size_t k = 0; k < partitions_; ++k) {
-    const std::string stem = "pt" + std::to_string(k) + ".dump";
-    // O(1) unchanged-partition probe (see the single-thread runner): a
-    // partition whose maintained checksum still matches the last sealed
-    // dump republishes those bytes instead of re-serializing. Converged
-    // partitions in Sync/AsyncP runs stop paying O(partition) per
-    // checkpoint. Message tables stay on the fresh-dump path — their set
-    // changes every round.
-    const std::string probe_sql =
-        "CHECKSUM TABLE " + translator_.Quote(PartitionTable(k));
+  // O(1) unchanged-table probe (see the single-thread runner): a table
+  // whose maintained checksum still matches the last sealed dump
+  // republishes those bytes instead of re-serializing. Converged
+  // partitions in Sync/AsyncP runs, and message tables a round left as
+  // they were (e.g. empty), stop paying O(table) per checkpoint.
+  const auto dump = [&](const std::string& table, const std::string& stem) {
+    const std::string probe_sql = "CHECKSUM TABLE " + translator_.Quote(table);
     std::string checksum;
     retrier_.Run(master_, "master", -1, [&] {
       checksum = master_.ExecuteQuery(probe_sql).rows[0][1].as_text();
@@ -949,31 +901,23 @@ void ParallelRunner::WriteCheckpoint(
       ++stats_.checkpoint_dumps_reused;
       SQLOOP_COUNT(recorder_, "checkpoint.dumps_reused", 1);
     } else {
-      master_.AddBatch("DUMP TABLE " + translator_.Quote(PartitionTable(k)) +
-                       " TO " +
+      master_.AddBatch("DUMP TABLE " + translator_.Quote(table) + " TO " +
                        Value(ckpt_->FileFor(round, stem)).ToSqlLiteral());
       ckpt_->RecordDumpChecksum(round, stem, checksum);
     }
-    m.partition_files.push_back(stem);
+    return stem;
+  };
+  for (size_t k = 0; k < partitions_; ++k) {
+    const std::string id = std::to_string(k);
+    m.partition_files.push_back(dump(PartitionTable(k), "pt" + id + ".dump"));
+    m.message_files.push_back(dump(MessageTable(k), "msg" + id + ".dump"));
   }
   {
+    // At a round border no seq is unregistered.
     const std::scoped_lock lock(registry_mutex_);
-    for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-      CheckpointManifest::MessageEntry entry;
-      entry.table = message_tables_[i];
-      entry.file = "msg" + std::to_string(i - dropped_prefix_) + ".dump";
-      entry.source = message_sources_[i];
-      entry.targets = message_targets_[i];
-      master_.AddBatch("DUMP TABLE " + translator_.Quote(entry.table) +
-                       " TO " +
-                       Value(ckpt_->FileFor(round, entry.file)).ToSqlLiteral());
-      m.messages.push_back(std::move(entry));
-    }
-    // Rebase the per-partition watermarks against the dropped prefix: the
-    // restored registry re-indexes the surviving tables from zero.
-    m.consumed.reserve(partitions_);
-    for (const size_t c : consumed_) m.consumed.push_back(c - dropped_prefix_);
-    m.message_seq = message_seq_.load();
+    for (const auto& [seq, batch] : batches_) m.messages.push_back(batch);
+    m.consumed = consumed_;
+    m.message_seq = message_seq_;
   }
   MasterExecuteBatch();
   {
@@ -1016,10 +960,8 @@ void ParallelRunner::ScrubPartitions() {
 void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
   if (options_.priority_query.empty()) return;
   const double start = run_watch_.ElapsedSeconds();
-  const std::string sql = ReplaceAll(options_.priority_query, "$PARTITION",
-                                     PartitionTable(partition));
   std::optional<double> priority;
-  const auto result = conn.ExecuteQuery(sql);
+  const auto result = StatementsFor(conn, partition)[kPriority].ExecuteQuery();
   if (!result.rows.empty() && !result.rows[0].empty() &&
       result.rows[0][0].is_numeric()) {
     const double v = result.rows[0][0].NumericAsDouble();
@@ -1035,73 +977,21 @@ void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
                             run_watch_.ElapsedSeconds() - start, 0););
 }
 
-std::vector<size_t> ParallelRunner::PartitionOrderForRound() {
-  std::vector<size_t> order;
-  order.reserve(partitions_);
-  if (options_.mode != ExecutionMode::kAsyncPriority ||
-      options_.priority_query.empty()) {
-    for (size_t k = 0; k < partitions_; ++k) order.push_back(k);
-    return order;
-  }
-
-  struct Entry {
-    size_t partition;
-    double rank;  // already oriented so larger runs first
-  };
-  std::vector<Entry> entries;
-  {
-    const std::scoped_lock lock(priority_mutex_, registry_mutex_);
-    for (size_t k = 0; k < partitions_; ++k) {
-      const bool has_messages = HasUnreadTargetedMessages(k);
-      if (!priority_known_[k]) {
-        // Never measured: run it first.
-        entries.push_back({k, std::numeric_limits<double>::infinity()});
-        continue;
-      }
-      if (!priorities_[k].has_value()) {
-        if (has_messages) {
-          // No productive work of its own, but it must still consume
-          // pending messages.
-          entries.push_back({k, -std::numeric_limits<double>::infinity()});
-        } else {
-          stats_.skipped_tasks += 1;
-        }
-        continue;
-      }
-      const double v = *priorities_[k];
-      entries.push_back({k, options_.priority_descending ? v : -v});
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.rank > b.rank;
-                   });
-  for (const Entry& e : entries) order.push_back(e.partition);
-  return order;
-}
-
 bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
   const std::scoped_lock lock(priority_mutex_, registry_mutex_);
   if (!priority_known_[partition]) {
     *rank = std::numeric_limits<double>::infinity();  // never measured
     return true;
   }
-  const bool has_messages = [&] {
-    for (size_t i = consumed_[partition]; i < message_tables_.size(); ++i) {
-      const auto& targets = message_targets_[i];
-      if (targets.empty() ||
-          std::binary_search(targets.begin(), targets.end(), partition)) {
-        return true;
-      }
-    }
-    return false;
-  }();
   if (priorities_[partition].has_value()) {
     const double v = *priorities_[partition];
     *rank = options_.priority_descending ? v : -v;
     return true;
   }
-  if (has_messages) {
+  if (std::any_of(batches_.upper_bound(consumed_[partition]), batches_.end(),
+                  [&](const auto& entry) {
+                    return Addresses(entry.second, partition);
+                  })) {
     *rank = -std::numeric_limits<double>::infinity();  // consume, low rank
     return true;
   }
@@ -1179,9 +1069,12 @@ void ParallelRunner::RunRounds() {
   // Shared-pool mode has no per-job start hook, so the first task landing
   // on a worker opens its connection here. An initial open is not a
   // recovery action and must not count as a reopen; only genuinely lost
-  // connections go through the retrier's counted path.
+  // connections go through the retrier's counted path. A private pool's
+  // start hook already made that initial attempt: a slot it left empty
+  // goes straight to the counted path, so every connect failure is charged
+  // to the worker's retry budget and the ladder can retire the worker.
   const auto worker_conn = [&](size_t worker) -> dbc::Connection& {
-    if (worker_conns[worker] == nullptr) {
+    if (shared_pool_ != nullptr && worker_conns[worker] == nullptr) {
       try {
         auto conn = dbc::DriverManager::GetConnection(url_);
         conn->set_recorder(recorder_);
@@ -1244,32 +1137,37 @@ void ParallelRunner::RunRounds() {
     bool primary_exited = false;  // primary provably runs no more statements
     bool done = false;            // spec fully finished (either side)
   };
-  std::mutex watch_mutex;  // guards watchlist + samples; never nests inward
+  // Guards the watchlist, the samples and the stop flag; never nests
+  // inside a SpecState mutex. The watchdog sleeps on watch_cv until the
+  // next in-flight task could cross the threshold, and is woken early when
+  // a task starts or finishes, and on stop.
+  std::mutex watch_mutex;
+  std::condition_variable watch_cv;
+  bool watchdog_stop = false;
   std::vector<std::shared_ptr<SpecState>> watchlist;
   std::vector<double> task_samples;
   size_t sample_cursor = 0;
   constexpr size_t kMaxSamples = 256;
   constexpr size_t kMinSamples = 8;
-  const auto record_sample = [&](double seconds) {
-    const std::scoped_lock lock(watch_mutex);
-    if (task_samples.size() < kMaxSamples) {
-      task_samples.push_back(seconds);
-    } else {
-      task_samples[sample_cursor] = seconds;
-      sample_cursor = (sample_cursor + 1) % kMaxSamples;
+  const auto record_sample = [&](double seconds) {  // a task finished
+    {
+      const std::scoped_lock lock(watch_mutex);
+      if (task_samples.size() < kMaxSamples) {
+        task_samples.push_back(seconds);
+      } else {
+        task_samples[sample_cursor] = seconds;
+        sample_cursor = (sample_cursor + 1) % kMaxSamples;
+      }
     }
+    watch_cv.notify_one();
   };
-  const auto speculation_threshold = [&]() -> double {
+  const auto speculation_threshold = [&]() -> double {  // holds watch_mutex
     // Until enough samples exist the floor alone gates speculation, so a
     // slow warm-up round cannot trigger a storm of copies.
     const double floor_s =
         static_cast<double>(options_.straggler_min_ms) * 1e-3;
-    std::vector<double> samples;
-    {
-      const std::scoped_lock lock(watch_mutex);
-      samples = task_samples;
-    }
-    if (samples.size() < kMinSamples) return floor_s;
+    if (task_samples.size() < kMinSamples) return floor_s;
+    std::vector<double> samples = task_samples;
     size_t idx = (samples.size() * 95) / 100;
     if (idx >= samples.size()) idx = samples.size() - 1;
     std::nth_element(samples.begin(), samples.begin() + idx, samples.end());
@@ -1337,6 +1235,7 @@ void ParallelRunner::RunRounds() {
       const std::scoped_lock lock(watch_mutex);
       watchlist.push_back(state);
     }
+    watch_cv.notify_one();
     bool superseded = false;
     try {
       dbc::Connection& conn = worker_conn(worker);
@@ -1399,36 +1298,45 @@ void ParallelRunner::RunRounds() {
     state->cv.notify_all();
   };
 
-  std::atomic<bool> watchdog_stop{false};
   std::thread watchdog;
   if (speculate) {
     watchdog = std::thread([&] {
       std::unique_ptr<dbc::Connection> spare;
-      while (!watchdog_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::unique_lock watch_lock(watch_mutex);
+      while (!watchdog_stop) {
         std::shared_ptr<SpecState> victim;
         const double now = run_watch_.ElapsedSeconds();
         const double threshold = speculation_threshold();
-        {
-          const std::scoped_lock lock(watch_mutex);
-          watchlist.erase(
-              std::remove_if(watchlist.begin(), watchlist.end(),
-                             [](const std::shared_ptr<SpecState>& s) {
-                               const std::scoped_lock inner(s->mutex);
-                               return s->done;
-                             }),
-              watchlist.end());
-          for (const auto& s : watchlist) {
-            const std::scoped_lock inner(s->mutex);
-            if (s->claimed || s->done) continue;
-            if (now - s->started < threshold) continue;
-            s->claimed = true;
-            s->cancel->store(true, std::memory_order_release);
-            victim = s;
-            break;
+        double next_due = std::numeric_limits<double>::infinity();
+        watchlist.erase(
+            std::remove_if(watchlist.begin(), watchlist.end(),
+                           [](const std::shared_ptr<SpecState>& s) {
+                             const std::scoped_lock inner(s->mutex);
+                             return s->done;
+                           }),
+            watchlist.end());
+        for (const auto& s : watchlist) {
+          const std::scoped_lock inner(s->mutex);
+          if (s->claimed || s->done) continue;
+          if (now - s->started < threshold) {
+            next_due = std::min(next_due, s->started + threshold);
+            continue;
           }
+          s->claimed = true;
+          s->cancel->store(true, std::memory_order_release);
+          victim = s;
+          break;
         }
-        if (victim == nullptr) continue;
+        if (victim == nullptr) {
+          if (std::isinf(next_due)) {
+            watch_cv.wait(watch_lock);
+          } else {
+            watch_cv.wait_for(watch_lock,
+                              std::chrono::duration<double>(next_due - now));
+          }
+          continue;
+        }
+        watch_lock.unlock();
         speculative_tasks_.fetch_add(1);
         SQLOOP_COUNT(recorder_, "straggler.speculations", 1);
         {
@@ -1470,7 +1378,9 @@ void ParallelRunner::RunRounds() {
           victim->done = true;
         }
         victim->cv.notify_all();
+        watch_lock.lock();
       }
+      watch_lock.unlock();
       if (spare != nullptr && !spare->closed()) {
         try {
           spare->Close();
@@ -1484,13 +1394,19 @@ void ParallelRunner::RunRounds() {
   // its current victim before observing the stop flag, so no primary is
   // left waiting on a handed-over spec.
   struct WatchdogJoiner {
-    std::atomic<bool>& stop;
+    std::mutex& mutex;
+    std::condition_variable& cv;
+    bool& stop;
     std::thread& thread;
     ~WatchdogJoiner() {
-      stop.store(true, std::memory_order_release);
+      {
+        const std::scoped_lock lock(mutex);
+        stop = true;
+      }
+      cv.notify_all();
       if (thread.joinable()) thread.join();
     }
-  } watchdog_joiner{watchdog_stop, watchdog};
+  } watchdog_joiner{watch_mutex, watch_cv, watchdog_stop, watchdog};
 
   const auto throw_if_failed = [&] {
     const std::scoped_lock lock(failure_mutex_);
@@ -1620,7 +1536,7 @@ void ParallelRunner::RunRounds() {
       const RefreshMode refresh = options_.mode == ExecutionMode::kAsyncPriority
                                       ? RefreshMode::kAlways
                                       : RefreshMode::kNone;
-      for (const size_t k : PartitionOrderForRound()) {
+      for (size_t k = 0; k < partitions_; ++k) {
         pool.Submit([&run_task, k, refresh](size_t worker) {
           TaskSpec spec;
           spec.partition = k;
@@ -1733,7 +1649,6 @@ void ParallelRunner::RunRounds() {
       if (starved && round_updates_.load() == 0) {
         // Nothing can make progress anymore: quiesced. Check Tc once and
         // stop either way — further windows would be identical no-ops.
-        DropFullyConsumedMessages();
         stats_.iterations = round;
         FinishRound(round, 0, round_start, barrier_wait);
         retrier_.Run(master_, "termination", -1,
@@ -1742,7 +1657,6 @@ void ParallelRunner::RunRounds() {
       }
     }
 
-    DropFullyConsumedMessages();
     stats_.iterations = round;
     const uint64_t updates = round_updates_.load();
     stats_.total_updates += updates;
@@ -1788,24 +1702,10 @@ void ParallelRunner::Cleanup() {
     for (size_t k = 0; k < partitions_; ++k) {
       master_.AddBatch(translator_.DropTableSql(PartitionTable(k)));
       master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+      master_.AddBatch(translator_.DropTableSql(MessageTable(k)));
     }
     master_.AddBatch(translator_.DropTableSql(base_ + "_seed"));
     master_.AddBatch(translator_.DropTableSql(base_ + "_delta"));
-    {
-      const std::scoped_lock lock(registry_mutex_);
-      for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-        master_.AddBatch(translator_.DropTableSql(message_tables_[i]));
-      }
-      dropped_prefix_ = message_tables_.size();
-      // Created-but-unregistered message tables: a fatal error (cancel,
-      // quota kill) aborted their task before the retry path could drop
-      // them. Left behind they would collide with a resumed incarnation
-      // re-allocating the same seq from the checkpointed counter.
-      for (const auto& orphan : pending_orphans_) {
-        master_.AddBatch(translator_.DropTableSql(orphan));
-      }
-      pending_orphans_.clear();
-    }
     master_.ExecuteBatch();
   } catch (...) {
     // Cleanup is best-effort; the original error (if any) matters more.
@@ -1839,7 +1739,9 @@ dbc::ResultSet ParallelRunner::Run() {
     const double setup_start = run_watch_.ElapsedSeconds();
     SetupCheckpointing();
     DropLeftovers();
-    if (!RestoreFromCheckpoint()) CreatePartitions();
+    const bool restored = RestoreFromCheckpoint();
+    if (!restored) CreatePartitions();
+    CreateMessageTables(restored);
     CreateUnionView();
     MaterializeConstantJoins();
     BuildTaskSql();
@@ -1863,15 +1765,11 @@ dbc::ResultSet ParallelRunner::Run() {
 
     if (options_.keep_result_tables) {
       // Keep the view + partitions for post-run sampling, but clear the
-      // transient message tables and the constant-join materialization.
+      // message tables and the constant-join materialization.
       for (size_t k = 0; k < partitions_; ++k) {
         master_.AddBatch(translator_.DropTableSql(MjoinTable(k)));
+        master_.AddBatch(translator_.DropTableSql(MessageTable(k)));
       }
-      const std::scoped_lock lock(registry_mutex_);
-      for (size_t i = dropped_prefix_; i < message_tables_.size(); ++i) {
-        master_.AddBatch(translator_.DropTableSql(message_tables_[i]));
-      }
-      dropped_prefix_ = message_tables_.size();
       MasterExecuteBatch();
     } else {
       Cleanup();

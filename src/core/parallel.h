@@ -6,11 +6,13 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -22,6 +24,7 @@
 #include "core/termination.h"
 #include "core/translator.h"
 #include "dbc/connection.h"
+#include "dbc/prepared_statement.h"
 
 namespace sqloop::core {
 
@@ -40,14 +43,14 @@ class ParallelRunner {
   dbc::ResultSet Run();
 
  private:
-  /// Cross-attempt progress of one Compute task, so a retry never repeats
-  /// a completed piece: once the message phase is done it is skipped (a
-  /// second RegisterMessageTable would double-count SUM deltas), and a
-  /// partial message table left by a failed attempt is dropped before the
-  /// next one (DESIGN.md "Failure model & resilience").
+  /// Cross-attempt progress of one Compute task, so a retry resumes at
+  /// the statement that failed and never repeats a completed one: a batch
+  /// appended twice, or registered twice, would double-count SUM deltas
+  /// (DESIGN.md "Failure model & resilience").
   struct ComputeAttempt {
-    bool messages_done = false;
-    std::string orphan;  // created but not yet registered/dropped
+    bool messages_done = false;  // batch appended and registered
+    uint64_t seq = 0;            // the batch's seq; 0 = not yet allocated
+    int64_t appended = -1;       // rows the append wrote; -1 = not yet run
   };
 
   /// Whether a finished Compute/Gather pair re-measures its priority.
@@ -74,6 +77,10 @@ class ParallelRunner {
   // --- setup / teardown -------------------------------------------------
   void DropLeftovers();
   void CreatePartitions();
+  /// One persistent message table per producing partition (§V-C), created
+  /// once here — or already re-created by RestoreFromCheckpoint — and
+  /// indexed on target_pt. Dropped once, in Cleanup.
+  void CreateMessageTables(bool restored);
   void CreateUnionView();
   void MaterializeConstantJoins();  // Rmjoin (§V-B)
   void BuildTaskSql();
@@ -83,13 +90,14 @@ class ParallelRunner {
   /// Derives the job id and, under `resume`, probes for the newest valid
   /// checkpoint of this exact job (same query, mode, partition count).
   void SetupCheckpointing();
-  /// Re-creates the partition and pending message tables from the resume
+  /// Re-creates the partition and message tables from the resume
   /// checkpoint and reloads the registry / priority / scheduler state.
   /// Returns false (fresh start) when there is nothing to resume.
   bool RestoreFromCheckpoint();
-  /// Dumps every partition table plus the not-yet-dropped message tables
-  /// and seals the round's manifest. Runs at a round border (pool idle),
-  /// so the captured state is exactly what the next round starts from.
+  /// Dumps every partition and message table plus the registry of
+  /// unreclaimed batches and seals the round's manifest. Runs at a round
+  /// border (pool idle), so the captured state is exactly what the next
+  /// round starts from.
   void WriteCheckpoint(int64_t round, uint64_t dispatch_seq,
                        const std::vector<uint64_t>& last_dispatch);
   /// CHECK TABLE over every partition table (batched on the master), at
@@ -112,6 +120,24 @@ class ParallelRunner {
   void FlushResilienceStats();
 
   // --- tasks (§V-C) -----------------------------------------------------
+  /// Every fixed-shape statement a task for `partition` runs, indexed by
+  /// TaskStatement and prepared on `conn` (one round trip for the group)
+  /// the first time a task for that partition lands on that connection.
+  /// The handles survive Reopen; the connection's thread is their only user.
+  enum TaskStatement {
+    kAppend,    // INSERT the Compute's batch, seq bound
+    kTruncate,  // reclaim a fully consumed message table
+    kReclaim,   // DELETE the consumed batches below a seq
+    kGather,    // UPDATE ... FROM every source's rows in the unread range
+    kUpdate,    // own columns + delta reset
+    kTargets,   // AsyncP: the partitions a batch addresses
+    kPriority,  // AsyncP with a priority query
+  };
+  std::vector<dbc::PreparedStatement>& StatementsFor(dbc::Connection& conn,
+                                                     size_t partition);
+  /// Frees the owner's consumed batches at the start of its Compute.
+  void ReclaimMessages(size_t partition,
+                       std::vector<dbc::PreparedStatement>& stmts);
   uint64_t RunCompute(size_t partition, dbc::Connection& conn,
                       ComputeAttempt& attempt);
   uint64_t RunGather(size_t partition, dbc::Connection& conn);
@@ -132,24 +158,28 @@ class ParallelRunner {
                    double barrier_wait);
 
   // --- message registry (the paper's "global data structure") ------------
-  // `targets` lists the partitions the table's rows belong to (empty =
-  // unknown, treat as "all"); AsyncP uses it to skip idle partitions
-  // without missing messages addressed to them.
-  // `source` is the producing partition; UnreadMessages orders the union
-  // arms by it so the gather's accumulation order — and therefore every
-  // floating-point SUM — is independent of which worker registered first.
-  void AddPendingOrphan(const std::string& name);
-  void ClearPendingOrphan(const std::string& name);
-  void RegisterMessageTable(std::string name, size_t source,
-                            std::vector<size_t> targets);
-  std::pair<std::vector<std::string>, size_t> UnreadMessages(size_t partition);
-  bool HasUnreadTargetedMessages(size_t partition);
-  void MarkConsumed(size_t partition, size_t upto);
-  void DropFullyConsumedMessages();  // master-side, between rounds
+  // Each non-empty Compute output is a MessageBatch: rows of the producing
+  // partition's message table tagged with one seq. The registry holds
+  // only metadata — the rows stay in the tables.
+  /// What a Gather of one partition reads: the batches with a seq in
+  /// (lo, hi], from every source table.
+  struct UnreadMessages {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    size_t batches = 0;  // unread batches addressed to the partition
+  };
+  /// Hands out the seq of a Compute's batch. Until ResolveBatch the seq is
+  /// unregistered, and every Gather reads only below it.
+  uint64_t AllocateSeq();
+  /// Registers the batch appended under `batch.seq`, or only retires the
+  /// seq when the append wrote no rows.
+  void ResolveBatch(MessageBatch batch, bool appended);
+  UnreadMessages Unread(size_t partition);
+  bool ConsumedByAllTargets(const MessageBatch& batch) const;  // holds lock
+  void MarkConsumed(size_t partition, uint64_t upto);
 
   // --- scheduling (§V-E) --------------------------------------------------
   void RunRounds();
-  std::vector<size_t> PartitionOrderForRound();
   void RefreshPriority(size_t partition, dbc::Connection& conn);
   /// True if the partition currently has productive work: a usable
   /// priority, pending messages addressed to it, or no measurement yet.
@@ -159,6 +189,7 @@ class ParallelRunner {
 
   std::string PartitionTable(size_t k) const;
   std::string MjoinTable(size_t k) const;
+  std::string MessageTable(size_t k) const;
 
   const std::string url_;
   dbc::Connection& master_;
@@ -179,25 +210,27 @@ class ParallelRunner {
   size_t partitions_;
   std::string base_;  // folded CTE name; also the union view's name
 
-  // Pre-rendered per-partition SQL.
-  std::vector<std::string> message_select_;  // SELECT feeding message tables
+  // Pre-rendered per-partition SQL, prepared by StatementsFor; binds are
+  // the batch seq (append) and the unread seq range (gather).
+  std::vector<std::string> append_sql_;
+  std::vector<std::string> gather_sql_;
   // Combined own-column update + delta reset, applied after messaging
   // (one statement, one partition scan).
   std::vector<std::string> update_sql_;
-  std::string create_message_columns_;       // "(id BIGINT, val ...)" body
+
+  // Prepared handles, keyed by connection and partition.
+  std::mutex statements_mutex_;
+  std::map<std::pair<const dbc::Connection*, size_t>,
+           std::vector<dbc::PreparedStatement>>
+      statements_;
 
   // Message registry.
   std::mutex registry_mutex_;
-  std::vector<std::string> message_tables_;
-  std::vector<size_t> message_sources_;  // producing partition, per table
-  std::vector<std::vector<size_t>> message_targets_;  // sorted; empty = all
-  std::vector<size_t> consumed_;  // per partition: index into message_tables_
-  size_t dropped_prefix_ = 0;
-  std::atomic<uint64_t> message_seq_{0};
-  // Message tables created but not yet registered (or dropped): if a
-  // fatal error aborts the creating task, Cleanup drops these so they
-  // cannot collide with a resumed incarnation reusing the same seq.
-  std::set<std::string> pending_orphans_;
+  std::map<uint64_t, MessageBatch> batches_;  // not yet reclaimed, by seq
+  std::set<uint64_t> unregistered_;  // allocated seqs not yet resolved
+  // Per partition: every batch it is addressed by up to this seq was read.
+  std::vector<uint64_t> consumed_;
+  uint64_t message_seq_ = 0;  // seq high-water mark
 
   // AsyncP priorities (NaN optional = unknown; nullopt = "no work").
   std::mutex priority_mutex_;

@@ -73,6 +73,12 @@ class Connection {
   /// and across Close/Reopen of this connection.
   PreparedStatement Prepare(std::string sql);
 
+  /// Prepares several statements in one round trip (a pipelined PREPARE):
+  /// the handles, and the compile each uncached text pays, are exactly
+  /// what one Prepare per text would give. A fault strikes before any of
+  /// them is compiled, so the whole call is the retry unit.
+  std::vector<PreparedStatement> PrepareAll(std::vector<std::string> sqls);
+
   /// Queues a statement for ExecuteBatch.
   void AddBatch(std::string sql);
 

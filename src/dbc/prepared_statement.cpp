@@ -11,23 +11,40 @@
 namespace sqloop::dbc {
 
 PreparedStatement Connection::Prepare(std::string sql) {
+  std::vector<std::string> one;
+  one.push_back(std::move(sql));
+  return std::move(PrepareAll(std::move(one)).front());
+}
+
+std::vector<PreparedStatement> Connection::PrepareAll(
+    std::vector<std::string> sqls) {
   EnsureOpen();
   // Like Execute, the prepare round trip is fault-exposed: a failure here
   // reaches the client before any server-side state exists.
+  ThrowIfSuperseded();
+  ThrowIfCancelled();
   MaybeInjectFault();
-  PayRoundTrip();  // ship the statement text for server-side compilation
-  ++stats_.prepared_statements;
-  SQLOOP_COUNT(recorder_, "dbc.prepared_statements", 1);
+  ThrowIfSuperseded();
+  ThrowIfCancelled();
+  PayRoundTrip();  // ship the statement texts for server-side compilation
+  stats_.prepared_statements += sqls.size();
+  SQLOOP_COUNT(recorder_, "dbc.prepared_statements", sqls.size());
 #if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch prepare_watch;
 #endif
-  PreparedStatement prepared(*this, std::move(sql));
+  std::vector<PreparedStatement> prepared;
+  prepared.reserve(sqls.size());
+  size_t compiles = 0;
+  for (std::string& sql : sqls) {
+    prepared.push_back(PreparedStatement(*this, std::move(sql)));
+    // The PREPARE itself compiles server-side unless the plan was cached.
+    if (!db_->plan_cache().enabled() || executor_.last_prepare_parsed()) {
+      ++compiles;
+    }
+  }
   SQLOOP_TIME_SECONDS(recorder_, "dbc.prepare_seconds",
                       prepare_watch.ElapsedSeconds());
-  // The PREPARE itself compiles server-side unless the plan was cached.
-  if (!db_->plan_cache().enabled() || executor_.last_prepare_parsed()) {
-    PayCompile();
-  }
+  PayCompile(compiles);
   return prepared;
 }
 
@@ -36,8 +53,6 @@ PreparedStatement::PreparedStatement(Connection& conn, std::string sql)
   if (conn_->db_->plan_cache().enabled()) {
     plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
     param_count_ = plan_->param_count;
-    bound_ = plan_->ast->Clone();
-    CollectSlots();
   } else {
     // Cache disabled (`--no-plan-cache`): compile locally; EnsureFresh
     // re-parses on every execute to model the unprepared world.
@@ -52,28 +67,16 @@ void PreparedStatement::Recompile() {
 #if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch parse_watch;
 #endif
-  bound_ = sql::ParseStatement(sql_);
+  parsed_ = sql::ParseStatement(sql_);
   SQLOOP_TIME_SECONDS(conn_->recorder_, "sql.parse_seconds",
                       parse_watch.ElapsedSeconds());
   int max_param = -1;
-  sql::VisitStatementExprs(*bound_, [&max_param](const sql::Expr& expr) {
+  sql::VisitStatementExprs(*parsed_, [&max_param](const sql::Expr& expr) {
     if (expr.kind == sql::ExprKind::kParameter) {
       max_param = std::max(max_param, expr.param_index);
     }
   });
   param_count_ = max_param + 1;
-  CollectSlots();
-}
-
-void PreparedStatement::CollectSlots() {
-  slots_.assign(static_cast<size_t>(param_count_), nullptr);
-  sql::VisitStatementExprsMutable(*bound_, [this](sql::Expr& expr) {
-    // A slot stays identifiable after a bind rewrote it to a literal:
-    // param_index survives the rewrite.
-    if (expr.param_index >= 0 && expr.param_index < param_count_) {
-      slots_[static_cast<size_t>(expr.param_index)] = &expr;
-    }
-  });
 }
 
 void PreparedStatement::CheckIndex(int index) const {
@@ -138,8 +141,7 @@ bool PreparedStatement::EnsureFresh() {
   }
   if (plan_->bound_version != db.catalog_version()) {
     // DDL happened since the plan was bound. Prepare() reuses the cached
-    // AST and only re-binds the lock plan — no re-parse. bound_ stays: the
-    // AST for a fixed text never changes.
+    // AST and only re-binds the lock plan — no re-parse.
     plan_ = conn_->executor_.Prepare(sql_, /*pin=*/true);
     return conn_->executor_.last_prepare_parsed();
   }
@@ -147,30 +149,32 @@ bool PreparedStatement::EnsureFresh() {
 }
 
 ResultSet PreparedStatement::Submit(const std::vector<Value>& values) {
-  ApplyBinds(values);
-  ResultSet result =
-      plan_ != nullptr
-          ? conn_->executor_.ExecuteWithPlan(*bound_, *plan_->locks,
-                                             plan_->access.get(),
-                                             &conn_->session_)
-          : conn_->executor_.Execute(*bound_, &conn_->session_);
-  return result;
-}
-
-void PreparedStatement::ApplyBinds(const std::vector<Value>& values) {
-  for (int i = 0; i < param_count_; ++i) {
-    sql::Expr* slot = slots_[static_cast<size_t>(i)];
-    slot->kind = sql::ExprKind::kLiteral;
-    slot->literal = values[static_cast<size_t>(i)];
-  }
+  const sql::StatementPtr bound =
+      (plan_ != nullptr ? *plan_->ast : *parsed_).Clone();
+  sql::VisitStatementExprsMutable(*bound, [&values](sql::Expr& expr) {
+    if (expr.kind == sql::ExprKind::kParameter) {
+      expr.kind = sql::ExprKind::kLiteral;
+      expr.literal = values[static_cast<size_t>(expr.param_index)];
+    }
+  });
+  return plan_ != nullptr
+             ? conn_->executor_.ExecuteWithPlan(*bound, *plan_->locks,
+                                                plan_->access.get(),
+                                                &conn_->session_)
+             : conn_->executor_.Execute(*bound, &conn_->session_);
 }
 
 ResultSet PreparedStatement::Execute() {
   RequireAllBound();
   conn_->EnsureOpen();
-  // Same fault exposure as Connection::Execute: a failure strikes before
-  // the engine applies anything, so the caller may retry the handle.
+  // Same fault and cancellation exposure as Connection::Execute: a failure
+  // strikes before the engine applies anything, so the caller may retry
+  // the handle, and a superseded task stops at this statement boundary.
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   ++conn_->stats_.statements;
   ++conn_->stats_.prepared_executions;
@@ -181,7 +185,15 @@ ResultSet PreparedStatement::Execute() {
 #if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch execute_watch;
 #endif
-  ResultSet result = Submit(binds_);
+  conn_->ArmStatementDeadline();
+  ResultSet result;
+  try {
+    result = Submit(binds_);
+  } catch (...) {
+    conn_->executor_.clear_statement_deadline();
+    throw;
+  }
+  conn_->executor_.clear_statement_deadline();
   SQLOOP_TIME_SECONDS(conn_->recorder_, "dbc.execute_seconds",
                       execute_watch.ElapsedSeconds());
   conn_->PayServerWork(result.rows_examined);
@@ -197,7 +209,11 @@ std::vector<size_t> PreparedStatement::ExecuteBatch() {
   conn_->EnsureOpen();
   // Mirrors Connection::ExecuteBatch: one fault decision and one round
   // trip for the whole batch; the queue survives a pre-engine failure.
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->MaybeInjectFault();
+  conn_->ThrowIfSuperseded();
+  conn_->ThrowIfCancelled();
   conn_->PayRoundTrip();
   SQLOOP_COUNT(conn_->recorder_, "dbc.batches", 1);
   SQLOOP_COUNT(conn_->recorder_, "dbc.batch_statements", batch_.size());

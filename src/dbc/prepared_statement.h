@@ -2,9 +2,10 @@
 // statement with `?` placeholders once; every ExecuteQuery/ExecuteUpdate
 // afterwards ships only the bound values — one round trip, no re-parse.
 //
-// The handle keeps a private clone of the cached AST whose parameter nodes
-// are stable slots: binding rewrites a slot to a literal in place, so
-// re-execution is bind + execute, never clone or re-plan. The server-side
+// The handle holds only the shared cached plan and its bind values: each
+// execution binds into a private copy of the cached AST, so handles of one
+// large statement on many connections cost no more memory than the plan
+// itself, and re-execution never re-parses or re-plans. The server-side
 // plan (lock set) is validated against the database's catalog version on
 // every execute and refreshed transparently after any DDL — and because
 // the compiled state lives with the database, a resilience Reopen() of the
@@ -62,21 +63,18 @@ class PreparedStatement {
   /// (`--no-plan-cache`) — re-parses per execute to model the old world.
   /// Returns true when a compile (full parse) happened this call.
   bool EnsureFresh();
-  /// Parses sql_ locally into bound_ and re-collects parameter slots.
+  /// Parses sql_ locally into parsed_ (plan cache disabled).
   void Recompile();
-  void CollectSlots();
-  void ApplyBinds(const std::vector<Value>& values);
   void RequireAllBound() const;
   void CheckIndex(int index) const;
-  /// The shared execute path: client-side costs, freshness check, bind,
-  /// engine call.
+  /// The shared engine call: binds `values` into a copy of the statement
+  /// and executes it.
   ResultSet Submit(const std::vector<Value>& values);
 
   Connection* conn_;
   std::string sql_;
   std::shared_ptr<const minidb::CachedPlan> plan_;  // null when cache is off
-  sql::StatementPtr bound_;           // private clone with bindable slots
-  std::vector<sql::Expr*> slots_;     // slots_[i] = parameter ordinal i
+  sql::StatementPtr parsed_;  // the local parse while the cache is off
   std::vector<Value> binds_;
   std::vector<char> has_bind_;
   std::vector<std::vector<Value>> batch_;

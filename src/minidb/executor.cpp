@@ -2506,6 +2506,7 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
   }
   BackupForTransaction(session, *table);
   for (const size_t row_id : doomed) table->Delete(row_id);
+  table->CompactIfSparse();
   ResultSet result;
   result.affected_rows = doomed.size();
   return result;

@@ -394,6 +394,12 @@ void Table::RestoreRows(const std::vector<Row>& rows) {
   for (const Row& row : rows) Insert(row);
 }
 
+void Table::CompactIfSparse() {
+  const size_t dead = live_.size() - live_rows_;
+  if (dead == 0 || dead < live_rows_ || spill_enabled_) return;
+  RestoreRows(SnapshotRows());
+}
+
 uint64_t Table::RowHash(const Row& row) noexcept {
   uint64_t hash = 14695981039346656037ull;
   const auto fold = [&hash](const void* data, size_t length) {

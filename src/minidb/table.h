@@ -146,6 +146,13 @@ class Table {
   /// Replaces the whole content (rollback restore).
   void RestoreRows(const std::vector<Row>& rows);
 
+  /// Rewrites the heap without its tombstones once they are at least as
+  /// many as the live rows, keeping the live rows in scan order. DELETE
+  /// calls it, so removed payloads leave storage at an amortized O(1) per
+  /// row. Spill-enabled tables are left as they are: the pool already
+  /// bounds what they hold resident.
+  void CompactIfSparse();
+
   // --- end-to-end content integrity (DESIGN.md "Durability & integrity") -
 
   /// Enables incremental content-checksum maintenance. Set by Database

@@ -3,7 +3,11 @@
 // behaviour across partition/thread extremes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/workloads.h"
 #include "graph/generators.h"
@@ -183,6 +187,146 @@ TEST(ParallelDetail, MessageTablesAreCleanedUp) {
   auto& db = loop.connection().database();
   for (const auto& name : db.TableNames()) {
     EXPECT_EQ(name.find("pagerank"), std::string::npos) << name;
+  }
+}
+
+/// Options for a parallel PageRank in `mode`; AsyncP gets its priority
+/// probe so the continuous scheduler runs.
+SqloopOptions PageRankOptions(CoreFixtureBase& fixture, ExecutionMode mode) {
+  SqloopOptions options = fixture.SmallOptions(mode, 4, 2);
+  if (mode == ExecutionMode::kAsyncPriority) {
+    options.priority_query = workloads::PageRankPriorityQuery();
+  }
+  return options;
+}
+
+uint64_t ServerCompiles(const RunStats& stats) {
+  return stats.recorder ? stats.recorder->counter("dbc.server_compiles") : 0;
+}
+
+TEST(ParallelDetail, LaterRoundsCompileNothing) {
+  // Every statement a round repeats has a fixed shape and is compiled once
+  // per job, so twice the rounds cost not a single extra compile.
+  const graph::Graph g = graph::MakeWebGraph(100, 3, 4);
+  for (const auto mode : {ExecutionMode::kSync, ExecutionMode::kAsync,
+                          ExecutionMode::kAsyncPriority}) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    const auto compiles = [&](int rounds) {
+      CoreFixtureBase fixture("postgres");
+      fixture.LoadGraph(g);
+      SqLoop loop(fixture.Url() + "&compile_us=1",
+                  PageRankOptions(fixture, mode));
+      loop.Execute(workloads::PageRankQuery(rounds));
+      return ServerCompiles(loop.last_run());
+    };
+    const uint64_t three = compiles(3);
+    EXPECT_GT(three, 0u);
+    EXPECT_EQ(three, compiles(6));
+  }
+}
+
+/// Sums, at every round end, the bytes the run's message tables hold.
+class MessageBytesObserver : public ExecutionObserver {
+ public:
+  explicit MessageBytesObserver(minidb::Database& db) : db_(db) {}
+  void OnRoundEnd(const telemetry::IterationStats&) override {
+    int64_t bytes = 0;
+    for (const auto& name : db_.TableNames()) {
+      if (name.find("_msg") == std::string::npos) continue;
+      if (const auto table = db_.FindTable(name)) {
+        bytes += table->tracked_bytes();
+      }
+    }
+    per_round.push_back(bytes);
+  }
+  std::vector<int64_t> per_round;
+
+ private:
+  minidb::Database& db_;
+};
+
+TEST(ParallelDetail, MessageTablesStayBoundedAndAreDropped) {
+  // Consumed batches are reclaimed by their owner's next Compute, so the
+  // message tables do not grow with the rounds. After round 1 — nothing
+  // reclaimed yet, and every PageRank round sends the same messages — they
+  // hold exactly one round's output. Sync never holds more. Async may also
+  // hold a batch a partition running beside its producer has not gathered
+  // yet (at most two per source); AsyncP's windows may run a partition
+  // more than once. After the run the catalog holds no message table.
+  const graph::Graph g = graph::MakeWebGraph(200, 3, 4);
+  for (const auto mode : {ExecutionMode::kSync, ExecutionMode::kAsync,
+                          ExecutionMode::kAsyncPriority}) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url(), PageRankOptions(fixture, mode));
+    auto& db = loop.connection().database();
+    MessageBytesObserver observer(db);
+    loop.set_observer(&observer);
+    loop.Execute(workloads::PageRankQuery(20));
+    loop.set_observer(nullptr);
+
+    ASSERT_EQ(observer.per_round.size(), 20u);
+    const int64_t one_round = observer.per_round.front();
+    EXPECT_GT(one_round, 0);
+    const int64_t bound = one_round * (mode == ExecutionMode::kSync    ? 1
+                                       : mode == ExecutionMode::kAsync ? 2
+                                                                       : 3);
+    for (size_t r = 0; r < observer.per_round.size(); ++r) {
+      EXPECT_LE(observer.per_round[r], bound) << "round " << r + 1;
+    }
+    for (const auto& name : db.TableNames()) {
+      EXPECT_EQ(name.find("_msg"), std::string::npos) << name;
+    }
+  }
+}
+
+TEST(ParallelDetail, ReusedInstanceCompilesTheSameEveryJob) {
+  // A reused SqLoop must not slow down job after job. Its master
+  // connection's one-off texts reach the shared plan cache on their second
+  // sighting, so the first two jobs warm up; every later job compiles the
+  // same.
+  const graph::Graph g = graph::MakeWebGraph(100, 3, 4);
+  CoreFixtureBase fixture("postgres");
+  fixture.LoadGraph(g);
+  SqLoop loop(fixture.Url() + "&compile_us=1",
+              fixture.SmallOptions(ExecutionMode::kSync, 4, 2));
+  std::vector<uint64_t> compiles;
+  for (int job = 0; job < 10; ++job) {
+    loop.Execute(workloads::PageRankQuery(3));
+    compiles.push_back(ServerCompiles(loop.last_run()));
+  }
+  EXPECT_GT(compiles[0], 0u);
+  for (size_t job = 1; job < compiles.size(); ++job) {
+    EXPECT_LE(compiles[job], compiles[job - 1]) << "job " << job;
+    if (job > 2) {
+      EXPECT_EQ(compiles[job], compiles[2]) << "job " << job;
+    }
+  }
+}
+
+TEST(ParallelDetail, SyncPageRankIsBitIdenticalAcrossPoolWidths) {
+  // Gather unions run in source-partition order and each message table
+  // holds its batches in seq order, so every floating-point SUM
+  // accumulates in the same order whichever worker ran which task.
+  const graph::Graph g = graph::MakeWebGraph(300, 4, 9);
+  std::vector<std::pair<int64_t, double>> first;
+  for (int threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CoreFixtureBase fixture("postgres");
+    fixture.LoadGraph(g);
+    SqLoop loop(fixture.Url(),
+                fixture.SmallOptions(ExecutionMode::kSync, 8, threads));
+    std::vector<std::pair<int64_t, double>> ranks;
+    for (const auto& row : loop.Execute(workloads::PageRankQuery(8)).rows) {
+      ranks.emplace_back(row[0].as_int(), row[1].as_double());
+    }
+    std::sort(ranks.begin(), ranks.end());
+    if (threads == 1) {
+      first = ranks;
+    } else {
+      EXPECT_EQ(ranks, first);  // exact double equality, not a tolerance
+    }
   }
 }
 

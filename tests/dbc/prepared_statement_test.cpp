@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -165,6 +166,49 @@ TEST_F(PreparedStatementTest, StatsCountHandlesAndPreparedExecutions) {
   EXPECT_EQ(conn->stats().round_trips, trips0 + 2);
   // Prepared executions also count as statements.
   EXPECT_GE(conn->stats().statements, conn->stats().prepared_executions);
+}
+
+TEST_F(PreparedStatementTest, PrepareAllShipsOneRoundTripAndCompilesOnce) {
+  auto conn = ConnectWithTable();
+  const uint64_t trips0 = conn->stats().round_trips;
+  const uint64_t handles0 = conn->stats().prepared_statements;
+  auto stmts = conn->PrepareAll(
+      {"SELECT name FROM people WHERE id = ?", "SELECT COUNT(*) FROM people",
+       "UPDATE people SET score = ? WHERE id = ?"});
+  ASSERT_EQ(stmts.size(), 3u);
+  EXPECT_EQ(conn->stats().round_trips, trips0 + 1);
+  EXPECT_EQ(conn->stats().prepared_statements, handles0 + 3);
+  stmts[0].SetInt64(1, 2);
+  EXPECT_EQ(stmts[0].ExecuteQuery().rows.at(0).at(0).as_text(), "grace");
+  EXPECT_EQ(stmts[1].ExecuteQuery().rows.at(0).at(0).as_int(), 3);
+  stmts[2].SetDouble(1, 1.0);
+  stmts[2].SetInt64(2, 3);
+  EXPECT_EQ(stmts[2].ExecuteUpdate(), 1u);
+  // The handles are pinned in the shared cache: preparing the same texts
+  // on another connection compiles nothing.
+  auto other = Connect();
+  const auto plan_misses = server_.FindDatabase("db")->plan_cache().misses();
+  other->PrepareAll({"SELECT name FROM people WHERE id = ?",
+                     "SELECT COUNT(*) FROM people"});
+  EXPECT_EQ(server_.FindDatabase("db")->plan_cache().misses(), plan_misses);
+}
+
+TEST_F(PreparedStatementTest, SupersededTaskStopsBeforeThePreparedStatement) {
+  auto conn = ConnectWithTable();
+  auto stmt = conn->Prepare("UPDATE people SET score = ? WHERE id = ?");
+  stmt.SetDouble(1, 0.0);
+  stmt.SetInt64(2, 1);
+  auto flag = std::make_shared<std::atomic<bool>>(true);
+  conn->set_cancel_flag(flag);
+  EXPECT_THROW(stmt.ExecuteUpdate(), TaskSupersededError);
+  EXPECT_THROW(conn->Prepare("SELECT 1"), TaskSupersededError);
+  conn->set_cancel_flag(nullptr);
+  // Refused before the engine: the row is untouched.
+  EXPECT_EQ(conn->ExecuteQuery("SELECT score FROM people WHERE id = 1")
+                .rows.at(0)
+                .at(0)
+                .as_double(),
+            9.5);
 }
 
 TEST_F(PreparedStatementTest, DdlBetweenExecutesIsTransparent) {

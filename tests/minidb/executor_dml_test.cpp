@@ -109,6 +109,28 @@ TEST_F(DmlTest, DeleteAllThenReinsertSamePk) {
   EXPECT_EQ(Scalar("SELECT COUNT(*) FROM r").as_int(), 1);
 }
 
+TEST_F(DmlTest, DeleteCompactsOnceTombstonesReachLiveRows) {
+  for (int id = 4; id <= 10; ++id) {
+    Run("INSERT INTO r VALUES (" + std::to_string(id) + ", " +
+        std::to_string(id) + ".0, 0.0)");
+  }
+  const auto table = db_.FindTable("r");
+  Run("DELETE FROM r WHERE id = 2");  // 1 tombstone < 9 live: kept
+  EXPECT_EQ(table->slot_count(), 10u);
+  const int64_t sparse_bytes = table->tracked_bytes();
+  Run("DELETE FROM r WHERE id > 5");  // 6 tombstones >= 4 live: compacted
+  EXPECT_EQ(table->slot_count(), 4u);
+  EXPECT_LT(table->tracked_bytes(), sparse_bytes);
+  // The survivors keep their scan order and their primary-key index.
+  const auto rows = Run("SELECT id FROM r").rows;
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0][0].as_int(), 1);
+  EXPECT_EQ(rows[1][0].as_int(), 3);
+  EXPECT_EQ(rows[2][0].as_int(), 4);
+  EXPECT_EQ(rows[3][0].as_int(), 5);
+  EXPECT_THROW(Run("INSERT INTO r VALUES (4, 0.0, 0.0)"), ExecutionError);
+}
+
 TEST_F(DmlTest, Truncate) {
   const auto result = Run("TRUNCATE TABLE r");
   EXPECT_EQ(result.affected_rows, 3u);
