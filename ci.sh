@@ -43,12 +43,14 @@ check_scan_floors() {
     || { echo "FAIL: fused selective-scan speedup ${fus_meas} fell below floor ${fus_floor}"; return 1; }
 }
 
-# Paged-storage regression gate: a fresh micro_storage run must keep the
-# hit-path overhead under the committed baseline's floor (10%: the cost of
-# the slotted-page representation when nothing spills), agree with the
-# resident oracle in every execution mode, and stay within 1.5x of the
-# committed peak RSS — the whole point of the pool is that a bounded
-# budget bounds memory, so an RSS regression is a correctness smell.
+# Buffer-pool regression gate: a fresh micro_storage run must keep the
+# hit-path ratio under the committed baseline's floor (1.10: the median,
+# over interleaved >= 100 ms windows, of a bounded pool that pins but never
+# evicts against an unbounded one that takes no pins), agree with the
+# unbounded pool under a quarter-size one in every execution mode, and
+# stay within 1.5x of the committed peak RSS — the whole point of the pool
+# is that a bounded budget bounds memory, so an RSS regression is a
+# correctness smell.
 check_storage_floors() {
   local baseline="$1" fresh="$2"
   [[ -f "${baseline}" ]] || { echo "    (no committed baseline; skipping floor gate)"; return 0; }
@@ -61,7 +63,7 @@ check_storage_floors() {
     echo "    (baseline predates the storage floors; skipping floor gate)"
     return 0
   fi
-  echo "    hit-path paged/resident overhead: ${overhead} (floor ${max_overhead})"
+  echo "    hit-path bounded/unbounded median: ${overhead} (floor ${max_overhead})"
   echo "    peak RSS: ${rss} bytes (baseline ${rss_base})"
   grep -q '"results_match": true' "${fresh}" \
     || { echo "FAIL: ${fresh} did not record results_match=true"; return 1; }
@@ -117,25 +119,11 @@ run_preset() {
       check_integrity_overhead BENCH_integrity.json
       echo "==> [${preset}] paged-storage acceptance suite"
       ctest --preset default -L storage
-      echo "==> [${preset}] paged-storage benchmark + floor gate"
+      echo "==> [${preset}] buffer-pool benchmark + floor gate"
       cp -f BENCH_storage.json BENCH_storage.baseline.json 2>/dev/null || true
-      storage_ok=0
-      for attempt in 1 2 3; do
-        if ./build/bench/micro_storage --json BENCH_storage.json \
-            && check_storage_floors BENCH_storage.baseline.json BENCH_storage.json; then
-          storage_ok=1
-          break
-        fi
-        # The hit-path ratio is sensitive to per-process allocation layout
-        # (hugepage promotion luck on the resident arm); a fresh process
-        # redraws the layout, so transient breaches get two more attempts.
-        echo "    (attempt ${attempt} breached; retrying in a fresh process)"
-      done
+      ./build/bench/micro_storage --json BENCH_storage.json
+      check_storage_floors BENCH_storage.baseline.json BENCH_storage.json
       rm -f BENCH_storage.baseline.json
-      if [[ "${storage_ok}" != 1 ]]; then
-        echo "FAIL: micro_storage floor gate failed three consecutive attempts"
-        exit 1
-      fi
       ;;
     *)
       echo "==> [${preset}] resilience|recovery|engine|gains|service|governance|durability|storage suites"

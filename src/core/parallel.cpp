@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -67,9 +65,6 @@ bool Addresses(const MessageBatch& batch, size_t partition) {
          std::binary_search(batch.targets.begin(), batch.targets.end(),
                             partition);
 }
-
-// Dispatch tracing for scheduler debugging (SQLOOP_SCHED_TRACE=1).
-const bool kSchedulerTrace = std::getenv("SQLOOP_SCHED_TRACE") != nullptr;
 
 }  // namespace
 
@@ -693,7 +688,6 @@ void ParallelRunner::FlushResilienceStats() {
 void ParallelRunner::EmitSpan(telemetry::SpanKind kind, int64_t partition,
                               double start, double duration,
                               uint64_t updates) {
-#if SQLOOP_TELEMETRY_ENABLED
   if (recorder_ == nullptr && observer_ == nullptr) return;
   telemetry::TaskSpan span;
   span.kind = kind;
@@ -705,13 +699,6 @@ void ParallelRunner::EmitSpan(telemetry::SpanKind kind, int64_t partition,
   span.updates = updates;
   if (recorder_ != nullptr) recorder_->RecordSpan(span);
   if (observer_ != nullptr) observer_->OnTaskComplete(span);
-#else
-  (void)kind;
-  (void)partition;
-  (void)start;
-  (void)duration;
-  (void)updates;
-#endif
 }
 
 void ParallelRunner::FinishRound(int64_t round, uint64_t updates,
@@ -871,8 +858,8 @@ bool ParallelRunner::RestoreFromCheckpoint() {
   }
   stats_.resumed_from_round = m.round;
   SQLOOP_COUNT(recorder_, "checkpoint.restores", 1);
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kRestore, -1, start,
-                            run_watch_.ElapsedSeconds() - start, 0););
+  EmitSpan(telemetry::SpanKind::kRestore, -1, start,
+           run_watch_.ElapsedSeconds() - start, 0);
   return true;
 }
 
@@ -934,8 +921,8 @@ void ParallelRunner::WriteCheckpoint(
   ++stats_.checkpoints_written;
   stats_.checkpoints_verified = ckpt_->verified_count();
   SQLOOP_COUNT(recorder_, "checkpoint.writes", 1);
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kCheckpoint, -1, start,
-                            run_watch_.ElapsedSeconds() - start, 0););
+  EmitSpan(telemetry::SpanKind::kCheckpoint, -1, start,
+           run_watch_.ElapsedSeconds() - start, 0);
 }
 
 void ParallelRunner::ScrubPartitions() {
@@ -972,9 +959,8 @@ void ParallelRunner::RefreshPriority(size_t partition, dbc::Connection& conn) {
     priorities_[partition] = priority;
     priority_known_[partition] = true;
   }
-  SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kPriority,
-                            static_cast<int64_t>(partition), start,
-                            run_watch_.ElapsedSeconds() - start, 0););
+  EmitSpan(telemetry::SpanKind::kPriority, static_cast<int64_t>(partition),
+           start, run_watch_.ElapsedSeconds() - start, 0);
 }
 
 bool ParallelRunner::PartitionEligible(size_t partition, double* rank) {
@@ -1604,10 +1590,6 @@ void ParallelRunner::RunRounds() {
           ++in_flight;
           ++window_dispatched;
         }
-        if (kSchedulerTrace) {
-          std::fprintf(stderr, "sqloop-sched: dispatch pt%d rank=%g\n", best,
-                       best_rank);
-        }
         const size_t k = static_cast<size_t>(best);
         pool.Submit([&run_task, k, &sched_mutex, &sched_cv, &running,
                      &in_flight](size_t worker) {
@@ -1637,14 +1619,6 @@ void ParallelRunner::RunRounds() {
       for (size_t k = 0; k < partitions_; ++k) {
         double rank;
         if (!PartitionEligible(k, &rank)) ++stats_.skipped_tasks;
-      }
-      if (kSchedulerTrace) {
-        std::fprintf(stderr,
-                     "sqloop-sched: window %lld dispatched=%zu updates=%llu "
-                     "starved=%d\n",
-                     static_cast<long long>(round), window_dispatched,
-                     static_cast<unsigned long long>(round_updates_.load()),
-                     static_cast<int>(starved));
       }
       if (starved && round_updates_.load() == 0) {
         // Nothing can make progress anymore: quiesced. Check Tc once and
@@ -1745,16 +1719,16 @@ dbc::ResultSet ParallelRunner::Run() {
     CreateUnionView();
     MaterializeConstantJoins();
     BuildTaskSql();
-    SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kSetup, -1, setup_start,
-                              run_watch_.ElapsedSeconds() - setup_start, 0););
+    EmitSpan(telemetry::SpanKind::kSetup, -1, setup_start,
+             run_watch_.ElapsedSeconds() - setup_start, 0);
     RunRounds();
 
     const double final_start = run_watch_.ElapsedSeconds();
     dbc::ResultSet result = retrier_.Run(master_, "final", -1, [&] {
       return master_.ExecuteQuery(translator_.Render(*with_.final_query));
     });
-    SQLOOP_TELEMETRY(EmitSpan(telemetry::SpanKind::kFinal, -1, final_start,
-                              run_watch_.ElapsedSeconds() - final_start, 0););
+    EmitSpan(telemetry::SpanKind::kFinal, -1, final_start,
+             run_watch_.ElapsedSeconds() - final_start, 0);
 
     stats_.mode_used = options_.mode;
     stats_.parallelized = true;

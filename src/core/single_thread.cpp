@@ -136,19 +136,17 @@ void RecordRound(const ExecutionContext& ctx, const Stopwatch& run_watch,
   it.seconds = run_watch.ElapsedSeconds() - body_start;
   it.compute_seconds = it.seconds;
   if (ctx.recorder != nullptr) ctx.recorder->RecordIteration(it);
-  SQLOOP_TELEMETRY({
-    if (ctx.recorder != nullptr || ctx.observer != nullptr) {
-      telemetry::TaskSpan span;
-      span.kind = kind;
-      span.round = round;
-      span.thread_id = telemetry::Recorder::ThisThreadId();
-      span.start_seconds = body_start;
-      span.duration_seconds = it.seconds;
-      span.updates = updates;
-      if (ctx.recorder != nullptr) ctx.recorder->RecordSpan(span);
-      if (ctx.observer != nullptr) ctx.observer->OnTaskComplete(span);
-    }
-  });
+  if (ctx.recorder != nullptr || ctx.observer != nullptr) {
+    telemetry::TaskSpan span;
+    span.kind = kind;
+    span.round = round;
+    span.thread_id = telemetry::Recorder::ThisThreadId();
+    span.start_seconds = body_start;
+    span.duration_seconds = it.seconds;
+    span.updates = updates;
+    if (ctx.recorder != nullptr) ctx.recorder->RecordSpan(span);
+    if (ctx.observer != nullptr) ctx.observer->OnTaskComplete(span);
+  }
   if (ctx.observer != nullptr) ctx.observer->OnRoundEnd(it);
 }
 
@@ -157,18 +155,16 @@ void RecordRound(const ExecutionContext& ctx, const Stopwatch& run_watch,
 void RecordDurabilitySpan(const ExecutionContext& ctx,
                           telemetry::SpanKind kind, int64_t round,
                           double start_seconds, double duration_seconds) {
-  SQLOOP_TELEMETRY({
-    if (ctx.recorder != nullptr || ctx.observer != nullptr) {
-      telemetry::TaskSpan span;
-      span.kind = kind;
-      span.round = round;
-      span.thread_id = telemetry::Recorder::ThisThreadId();
-      span.start_seconds = start_seconds;
-      span.duration_seconds = duration_seconds;
-      if (ctx.recorder != nullptr) ctx.recorder->RecordSpan(span);
-      if (ctx.observer != nullptr) ctx.observer->OnTaskComplete(span);
-    }
-  });
+  if (ctx.recorder != nullptr || ctx.observer != nullptr) {
+    telemetry::TaskSpan span;
+    span.kind = kind;
+    span.round = round;
+    span.thread_id = telemetry::Recorder::ThisThreadId();
+    span.start_seconds = start_seconds;
+    span.duration_seconds = duration_seconds;
+    if (ctx.recorder != nullptr) ctx.recorder->RecordSpan(span);
+    if (ctx.observer != nullptr) ctx.observer->OnTaskComplete(span);
+  }
 }
 
 /// One round's slot in the cross-job scheduler (service runs); see

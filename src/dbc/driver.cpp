@@ -239,8 +239,6 @@ ConnectionConfig ConnectionConfig::Parse(const std::string& url) {
         // Zero would evict every page on arrival; omit the parameter for
         // an unbounded pool (pages stay resident, nothing spills).
         config.buffer_pool_bytes = ParsePositive(value, key);
-      } else if (key == "paged") {
-        config.paged = ParseNonNegative(value, key) != 0 ? 1 : 0;
       } else {
         throw ConnectionError("unknown URL parameter '" + key + "'");
       }
@@ -308,10 +306,8 @@ std::unique_ptr<Connection> DriverManager::GetConnection(
     throw ConnectionError("database '" + config.database +
                           "' does not exist on host '" + config.host + "'");
   }
-  // Storage knobs configure the database, not the connection: the buffer
-  // pool is shared by every connection to this database, and the paged
-  // toggle only affects tables created while it is set.
-  if (config.paged >= 0) db->set_paged_enabled(config.paged != 0);
+  // The pool budget configures the database, not the connection: the
+  // buffer pool is shared by every connection to this database.
   if (config.buffer_pool_bytes > 0) {
     db->set_buffer_pool_bytes(config.buffer_pool_bytes);
   }

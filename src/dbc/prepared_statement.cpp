@@ -29,9 +29,7 @@ std::vector<PreparedStatement> Connection::PrepareAll(
   PayRoundTrip();  // ship the statement texts for server-side compilation
   stats_.prepared_statements += sqls.size();
   SQLOOP_COUNT(recorder_, "dbc.prepared_statements", sqls.size());
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch prepare_watch;
-#endif
   std::vector<PreparedStatement> prepared;
   prepared.reserve(sqls.size());
   size_t compiles = 0;
@@ -64,9 +62,7 @@ PreparedStatement::PreparedStatement(Connection& conn, std::string sql)
 
 void PreparedStatement::Recompile() {
   SQLOOP_COUNT(conn_->recorder_, "sql.parse_count", 1);
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch parse_watch;
-#endif
   parsed_ = sql::ParseStatement(sql_);
   SQLOOP_TIME_SECONDS(conn_->recorder_, "sql.parse_seconds",
                       parse_watch.ElapsedSeconds());
@@ -182,9 +178,7 @@ ResultSet PreparedStatement::Execute() {
   SQLOOP_COUNT(conn_->recorder_, "dbc.prepared_executions", 1);
   conn_->EnsureTransactionIfNeeded();
   if (EnsureFresh()) conn_->PayCompile();
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch execute_watch;
-#endif
   conn_->ArmStatementDeadline();
   ResultSet result;
   try {

@@ -3,11 +3,10 @@
 //
 // Budgeted ("bounded") pools evict unpinned pages to a per-table spill
 // file when resident bytes cross the budget; unbounded pools (budget 0,
-// the default) register nothing and never evict, so an unbounded paged
-// table behaves — and costs — like the old resident vector-of-rows heap.
-// Whether a table participates is latched at table creation (see
-// Table::ConfigureStorage): readers of never-evictable tables skip pin
-// bookkeeping entirely, which is what keeps the hit-path overhead low.
+// the default) register nothing and never evict. Whether a table
+// participates is latched at table creation (see Table::ConfigureStorage):
+// readers of never-evictable tables skip pin bookkeeping entirely, so the
+// pin cost is paid only where eviction is possible.
 //
 // Locking: one pool mutex guards every page state transition (pin counts,
 // residency, dirty bits, the clock ring) and the spill-file I/O. Callers

@@ -1,6 +1,7 @@
 #include "minidb/evaluator.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -24,31 +25,58 @@ namespace {
                        std::string(ValueTypeName(b.type())));
 }
 
+/// BIGINT results that do not fit raise, as in PostgreSQL, rather than
+/// wrap: signed overflow is undefined behaviour in C++.
+[[noreturn]] void BigintOutOfRange() {
+  throw ExecutionError("bigint out of range");
+}
+
 Value Arithmetic(sql::BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (!a.is_numeric() || !b.is_numeric()) {
     TypeFail(sql::BinaryOpName(op), a, b);
   }
   const bool ints = a.is_int() && b.is_int();
+  int64_t out = 0;
   switch (op) {
     case sql::BinaryOp::kAdd:
-      if (ints) return Value(a.as_int() + b.as_int());
+      if (ints) {
+        if (__builtin_add_overflow(a.as_int(), b.as_int(), &out)) {
+          BigintOutOfRange();
+        }
+        return Value(out);
+      }
       return Value(a.NumericAsDouble() + b.NumericAsDouble());
     case sql::BinaryOp::kSub:
-      if (ints) return Value(a.as_int() - b.as_int());
+      if (ints) {
+        if (__builtin_sub_overflow(a.as_int(), b.as_int(), &out)) {
+          BigintOutOfRange();
+        }
+        return Value(out);
+      }
       return Value(a.NumericAsDouble() - b.NumericAsDouble());
     case sql::BinaryOp::kMul:
-      if (ints) return Value(a.as_int() * b.as_int());
+      if (ints) {
+        if (__builtin_mul_overflow(a.as_int(), b.as_int(), &out)) {
+          BigintOutOfRange();
+        }
+        return Value(out);
+      }
       return Value(a.NumericAsDouble() * b.NumericAsDouble());
     case sql::BinaryOp::kDiv:
       if (ints) {
         if (b.as_int() == 0) throw ExecutionError("integer division by zero");
+        // INT64_MIN / -1 is the one quotient that does not fit.
+        if (b.as_int() == -1 && a.as_int() == INT64_MIN) BigintOutOfRange();
         return Value(a.as_int() / b.as_int());
       }
       return Value(a.NumericAsDouble() / b.NumericAsDouble());
     case sql::BinaryOp::kMod:
       if (!ints) TypeFail("%", a, b);
       if (b.as_int() == 0) throw ExecutionError("modulo by zero");
+      // C++ leaves INT64_MIN % -1 undefined (x86 traps on it); raise like
+      // the quotient does.
+      if (b.as_int() == -1 && a.as_int() == INT64_MIN) BigintOutOfRange();
       return Value(a.as_int() % b.as_int());
     default:
       break;
@@ -137,7 +165,11 @@ Value EvalFunction(const sql::Expr& expr, const EvalContext& ctx) {
   if (name == "ABS") {
     if (args.size() != 1) throw ExecutionError("ABS expects one argument");
     if (args[0].is_null()) return Value::Null();
-    if (args[0].is_int()) return Value(std::abs(args[0].as_int()));
+    if (args[0].is_int()) {
+      const int64_t v = args[0].as_int();
+      if (v == INT64_MIN) BigintOutOfRange();
+      return Value(v < 0 ? -v : v);
+    }
     if (args[0].is_double()) return Value(std::fabs(args[0].as_double()));
     throw ExecutionError("ABS expects a numeric argument");
   }
@@ -228,7 +260,10 @@ Value Evaluate(const sql::Expr& expr, const EvalContext& ctx) {
       const Value v = Evaluate(*expr.left, ctx);
       if (expr.unary_op == sql::UnaryOp::kNegate) {
         if (v.is_null()) return Value::Null();
-        if (v.is_int()) return Value(-v.as_int());
+        if (v.is_int()) {
+          if (v.as_int() == INT64_MIN) BigintOutOfRange();
+          return Value(-v.as_int());
+        }
         if (v.is_double()) return Value(-v.as_double());
         throw ExecutionError("cannot negate a TEXT value");
       }
@@ -320,7 +355,9 @@ void Accumulator::Add(const Value& v) {
         throw ExecutionError("SUM/AVG over non-numeric value");
       }
       if (v.is_int() && !saw_double_) {
-        int_sum_ += v.as_int();
+        if (__builtin_add_overflow(int_sum_, v.as_int(), &int_sum_)) {
+          BigintOutOfRange();
+        }
       } else {
         if (!saw_double_) {
           double_sum_ = static_cast<double>(int_sum_);
@@ -346,9 +383,14 @@ void Accumulator::AddInt64Span(const int64_t* values, size_t count) {
     case sql::AggFunc::kSum:
     case sql::AggFunc::kAvg:
       if (!saw_double_) {
-        int64_t sum = 0;
-        for (size_t i = 0; i < count; ++i) sum += values[i];
-        int_sum_ += sum;
+        // Checked at every step, in lane order, so a span overflows exactly
+        // where the equivalent Add() sequence would (a wrapped partial sum
+        // that later came back into range must still raise).
+        bool overflowed = false;
+        for (size_t i = 0; i < count; ++i) {
+          overflowed |= __builtin_add_overflow(int_sum_, values[i], &int_sum_);
+        }
+        if (overflowed) BigintOutOfRange();
       } else {
         for (size_t i = 0; i < count; ++i) {
           double_sum_ += static_cast<double>(values[i]);

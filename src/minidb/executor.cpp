@@ -41,9 +41,7 @@ class LockSet {
   }
 
   void AcquireAll() {
-#if SQLOOP_TELEMETRY_ENABLED
     const Stopwatch watch;
-#endif
     for (auto& [name, entry] : entries_) {
       if (entry.write) {
         entry.table->lock().lock();
@@ -2570,7 +2568,7 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
   counters_ = {};
   access_ = access;
   GovBeginStatement();
-  // Statement pin ledger: every paged row view the engine hands out below
+  // Statement pin ledger: every row view the engine hands out below
   // is backed by a page pinned here (scan windows release early; anything
   // left drains when the scope dies with the statement).
   PinScope pin_scope;
@@ -3004,9 +3002,7 @@ ResultSet Executor::ExecuteSql(std::string_view text, Session* session) {
   // Ablation path (--no-plan-cache): the pre-cache cost model — every
   // statement pays a full parse.
   SQLOOP_COUNT(recorder_, "sql.parse_count", 1);
-#if SQLOOP_TELEMETRY_ENABLED
   const Stopwatch parse_watch;
-#endif
   const auto stmt = sql::ParseStatement(text);
   SQLOOP_TIME_SECONDS(recorder_, "sql.parse_seconds",
                       parse_watch.ElapsedSeconds());
@@ -3069,9 +3065,7 @@ std::shared_ptr<const CachedPlan> Executor::Prepare(std::string_view text,
   last_prepare_parsed_ = true;
   auto plan = std::make_shared<CachedPlan>();
   {
-#if SQLOOP_TELEMETRY_ENABLED
     const Stopwatch parse_watch;
-#endif
     auto parsed = sql::ParseStatement(text);
     SQLOOP_TIME_SECONDS(recorder_, "sql.parse_seconds",
                         parse_watch.ElapsedSeconds());

@@ -1,5 +1,5 @@
 // Slotted pages: the unit of storage, spill, and checksum maintenance for
-// paged tables (DESIGN.md "Paged storage & buffer pool").
+// every table (DESIGN.md "Paged storage & buffer pool").
 //
 // A page owns up to kPageRowCapacity consecutive row slots of one table.
 // Global row ids are stable: row_id = page_index * kPageRowCapacity + slot,
@@ -24,11 +24,11 @@ class BufferPool;
 class Table;
 
 /// Row slots per page. A power of two so the row-id split is a shift/mask.
-/// 1024 keeps the hit-path scan within a few percent of the resident
-/// vector (longer contiguous header runs between page boundaries) while
-/// the eviction granule stays fine enough for double-digit-KB pool
-/// budgets; 512 measurably pays more boundary cost and 2048 regresses
-/// again on allocator size-class placement (bench/micro_storage).
+/// 1024 keeps the hit-path scan close to a flat row vector (long
+/// contiguous header runs between page boundaries) while the eviction
+/// granule stays fine enough for double-digit-KB pool budgets; 512
+/// measurably pays more boundary cost and 2048 regresses again on
+/// allocator size-class placement (bench/micro_storage).
 inline constexpr size_t kPageRowShift = 10;
 inline constexpr size_t kPageRowCapacity = size_t{1} << kPageRowShift;
 inline constexpr size_t kPageRowMask = kPageRowCapacity - 1;

@@ -97,8 +97,8 @@ struct CachedPlan {
 std::string NormalizeSqlKey(std::string_view sql);
 
 /// Thread-safe LRU cache of CachedPlan entries. One instance per Database;
-/// capacity-capped because iterative runs mint unique message-table names
-/// that would otherwise grow the cache without bound.
+/// capacity-capped so a stream of distinct statement texts (ad-hoc
+/// statements with inlined literals) cannot grow it without bound.
 class PlanCache {
  public:
   static constexpr size_t kDefaultCapacity = 512;

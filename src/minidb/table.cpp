@@ -14,17 +14,16 @@ Table::Table(std::string name, Schema schema)
 Table::~Table() {
   // Deregister from the pool first: after ForgetTable returns, the evictor
   // and writer can never touch this table's pages or spill file again.
-  if (pool_ != nullptr && paged_) pool_->ForgetTable(this);
+  if (spill_enabled_) pool_->ForgetTable(this);
   // Return the whole reservation: a dropped table's memory leaves the
   // database scope the moment the last reference dies.
   const int64_t held = tracked_bytes_.load(std::memory_order_relaxed);
   if (tracker_ != nullptr && held > 0) tracker_->Release(held);
 }
 
-void Table::ConfigureStorage(std::shared_ptr<BufferPool> pool, bool paged) {
+void Table::ConfigureStorage(std::shared_ptr<BufferPool> pool) {
   pool_ = std::move(pool);
-  paged_ = paged && pool_ != nullptr;
-  spill_enabled_ = paged_ && pool_->bounded();
+  spill_enabled_ = pool_ != nullptr && pool_->bounded();
 }
 
 void Table::OnPageResidencyDelta(int64_t delta) noexcept { Account(delta); }
@@ -41,11 +40,11 @@ void Table::Account(int64_t delta) noexcept {
 
 Table::PagePin::PagePin(const Table* table, Page* page)
     : table_(table), page_(page) {
-  if (table_->spill_enabled_ && page_ != nullptr) table_->pool_->Pin(page_);
+  if (table_->spill_enabled_) table_->pool_->Pin(page_);
 }
 
 Table::PagePin::~PagePin() {
-  if (table_->spill_enabled_ && page_ != nullptr) table_->pool_->Unpin(page_);
+  if (table_->spill_enabled_) table_->pool_->Unpin(page_);
 }
 
 void Table::PinForRead(Page* page) const {
@@ -93,38 +92,26 @@ size_t Table::Insert(Row row) {
     }
   }
   const size_t row_id = live_.size();
-  int64_t row_bytes = 0;
-  if (paged_) {
-    Page* page = TailPageForInsert();
-    PagePin pin(this, page);
-    page->rows.push_back(std::move(row));
-    ++page->row_count;
-    const Row& stored = page->rows.back();
-    row_bytes = RowFootprintBytes(stored);
-    page->bytes += row_bytes;
-    if (spill_enabled_) {
-      pool_->PageGrew(page, row_bytes);
-      pool_->MarkDirty(page);
-    }
-    if (integrity_enabled_) {
-      const uint64_t hash = RowHash(stored);
-      content_hash_ += hash;
-      page->hash_sum += hash;
-    }
-    live_.push_back(1);
-    ++live_rows_;
-    if (pk >= 0) pk_index_.emplace(stored[pk], row_id);
-    IndexInsert(row_id, stored);
-  } else {
-    rows_.push_back(std::move(row));
-    const Row& stored = rows_[row_id];
-    row_bytes = RowFootprintBytes(stored);
-    if (integrity_enabled_) content_hash_ += RowHash(stored);
-    live_.push_back(1);
-    ++live_rows_;
-    if (pk >= 0) pk_index_.emplace(stored[pk], row_id);
-    IndexInsert(row_id, stored);
+  Page* page = TailPageForInsert();
+  PagePin pin(this, page);
+  page->rows.push_back(std::move(row));
+  ++page->row_count;
+  const Row& stored = page->rows.back();
+  const int64_t row_bytes = RowFootprintBytes(stored);
+  page->bytes += row_bytes;
+  if (spill_enabled_) {
+    pool_->PageGrew(page, row_bytes);
+    pool_->MarkDirty(page);
   }
+  if (integrity_enabled_) {
+    const uint64_t hash = RowHash(stored);
+    content_hash_ += hash;
+    page->hash_sum += hash;
+  }
+  live_.push_back(1);
+  ++live_rows_;
+  if (pk >= 0) pk_index_.emplace(stored[pk], row_id);
+  IndexInsert(row_id, stored);
   Account(row_bytes +
           kIndexEntryBytes * static_cast<int64_t>((pk >= 0 ? 1 : 0) +
                                                   secondary_indexes_.size()));
@@ -132,7 +119,6 @@ size_t Table::Insert(Row row) {
 }
 
 const Row& Table::At(size_t row_id) const {
-  if (!paged_) return rows_[row_id];
   Page* page = PageFor(row_id);
   if (spill_enabled_) PinForRead(page);
   return page->rows[row_id & kPageRowMask];
@@ -140,7 +126,7 @@ const Row& Table::At(size_t row_id) const {
 
 void Table::Update(size_t row_id, Row row) {
   schema_.CoerceRow(row);
-  Page* page = paged_ ? PageFor(row_id) : nullptr;
+  Page* page = PageFor(row_id);
   const PagePin pin(this, page);
   Row& stored = StoredRow(row_id);
   const int pk = schema_.primary_key_index();
@@ -167,14 +153,12 @@ void Table::Update(size_t row_id, Row row) {
   if (integrity_enabled_) {
     const uint64_t new_hash = RowHash(stored);
     content_hash_ += new_hash - old_hash;
-    if (page != nullptr) page->hash_sum += new_hash - old_hash;
+    page->hash_sum += new_hash - old_hash;
   }
-  if (page != nullptr) {
-    page->bytes += new_bytes - old_bytes;
-    if (spill_enabled_) {
-      pool_->PageGrew(page, new_bytes - old_bytes);
-      pool_->MarkDirty(page);
-    }
+  page->bytes += new_bytes - old_bytes;
+  if (spill_enabled_) {
+    pool_->PageGrew(page, new_bytes - old_bytes);
+    pool_->MarkDirty(page);
   }
   Account(new_bytes - old_bytes);
   IndexInsert(row_id, stored);
@@ -182,7 +166,7 @@ void Table::Update(size_t row_id, Row row) {
 
 void Table::Delete(size_t row_id) {
   if (!live_[row_id]) return;
-  Page* page = paged_ ? PageFor(row_id) : nullptr;
+  Page* page = PageFor(row_id);
   const PagePin pin(this, page);
   const Row& stored = StoredRow(row_id);
   const int pk = schema_.primary_key_index();
@@ -193,7 +177,7 @@ void Table::Delete(size_t row_id) {
     content_hash_ -= hash;
     // Only the liveness changed, not the payload, and the spill image
     // keeps tombstoned payloads — so the page is not dirtied here.
-    if (page != nullptr) page->hash_sum -= hash;
+    page->hash_sum -= hash;
   }
   live_[row_id] = 0;
   --live_rows_;
@@ -204,9 +188,8 @@ void Table::Delete(size_t row_id) {
 }
 
 void Table::Clear() {
-  if (pool_ != nullptr && paged_) pool_->ForgetTable(this);
+  if (spill_enabled_) pool_->ForgetTable(this);
   pages_.clear();
-  rows_.clear();
   live_.clear();
   live_rows_ = 0;
   content_hash_ = 0;
@@ -234,22 +217,13 @@ void Table::CreateIndex(const std::string& index_name,
     throw ExecutionError("no column '" + column_name + "' in table '" +
                          name_ + "' to index");
   }
-  if (paged_) {
-    for (const auto& owned : pages_) {
-      Page* page = owned.get();
-      const PagePin pin(this, page);
-      const size_t base = page->index << kPageRowShift;
-      for (size_t slot = 0; slot < page->row_count; ++slot) {
-        if (live_[base + slot]) {
-          index.map.emplace(page->rows[slot][index.column_index],
-                            base + slot);
-        }
-      }
-    }
-  } else {
-    for (size_t row_id = 0; row_id < rows_.size(); ++row_id) {
-      if (live_[row_id]) {
-        index.map.emplace(rows_[row_id][index.column_index], row_id);
+  for (const auto& owned : pages_) {
+    Page* page = owned.get();
+    const PagePin pin(this, page);
+    const size_t base = page->index << kPageRowShift;
+    for (size_t slot = 0; slot < page->row_count; ++slot) {
+      if (live_[base + slot]) {
+        index.map.emplace(page->rows[slot][index.column_index], base + slot);
       }
     }
   }
@@ -310,25 +284,9 @@ size_t Table::FillBatch(size_t* cursor, const Row** out,
                         size_t capacity) const {
   size_t slot = *cursor;
   const size_t end = live_.size();
-  if (!paged_) {
-    if (live_rows_ == end) {
-      // No tombstones: every slot is live, so the batch is a straight run
-      // of row addresses (the common case for append-only state tables).
-      const size_t filled = std::min(capacity, end - slot);
-      for (size_t i = 0; i < filled; ++i) out[i] = &rows_[slot + i];
-      *cursor = slot + filled;
-      return filled;
-    }
-    size_t filled = 0;
-    while (slot < end && filled < capacity) {
-      if (live_[slot]) out[filled++] = &rows_[slot];
-      ++slot;
-    }
-    *cursor = slot;
-    return filled;
-  }
-  // Paged: pin once per page, then fill from its slot run. The straight-run
-  // fast path survives paging because a page's slots are consecutive ids.
+  // Pin once per page, then fill from its slot run. With no tombstones
+  // (the common case for append-only state tables) every slot is live, so
+  // each page contributes a straight run of row addresses.
   const bool dense = (live_rows_ == end);
   size_t filled = 0;
   while (slot < end && filled < capacity) {
@@ -355,10 +313,6 @@ size_t Table::FillBatch(size_t* cursor, const Row** out,
 
 size_t Table::FillBatchFromIds(const size_t* ids, size_t count,
                                const Row** out) const {
-  if (!paged_) {
-    for (size_t i = 0; i < count; ++i) out[i] = &rows_[ids[i]];
-    return count;
-  }
   for (size_t i = 0; i < count; ++i) {
     Page* page = PageFor(ids[i]);
     // Holds()' last-page cache makes this one pool call per page run:
@@ -372,18 +326,12 @@ size_t Table::FillBatchFromIds(const size_t* ids, size_t count,
 std::vector<Row> Table::SnapshotRows() const {
   std::vector<Row> out;
   out.reserve(live_rows_);
-  if (paged_) {
-    for (const auto& owned : pages_) {
-      Page* page = owned.get();
-      const PagePin pin(this, page);
-      const size_t base = page->index << kPageRowShift;
-      for (size_t slot = 0; slot < page->row_count; ++slot) {
-        if (live_[base + slot]) out.push_back(page->rows[slot]);
-      }
-    }
-  } else {
-    for (size_t row_id = 0; row_id < rows_.size(); ++row_id) {
-      if (live_[row_id]) out.push_back(rows_[row_id]);
+  for (const auto& owned : pages_) {
+    Page* page = owned.get();
+    const PagePin pin(this, page);
+    const size_t base = page->index << kPageRowShift;
+    for (size_t slot = 0; slot < page->row_count; ++slot) {
+      if (live_[base + slot]) out.push_back(page->rows[slot]);
     }
   }
   return out;
@@ -442,30 +390,24 @@ bool Table::VerifyContent(uint64_t* expected_out, uint64_t* actual_out,
   if (!integrity_enabled_) return true;
   uint64_t actual = 0;
   bool pages_ok = true;
-  if (paged_) {
-    // Page-granular scrub: recompute each page's shard against its
-    // maintained hash_sum, which localizes corruption to one page (and
-    // catches two compensating corruptions the global sum would miss).
-    for (const auto& owned : pages_) {
-      Page* page = owned.get();
-      const PagePin pin(this, page);
-      uint64_t page_actual = 0;
-      const size_t base = page->index << kPageRowShift;
-      for (size_t slot = 0; slot < page->row_count; ++slot) {
-        if (live_[base + slot]) page_actual += RowHash(page->rows[slot]);
-      }
-      if (page_actual != page->hash_sum) {
-        pages_ok = false;
-        if (first_bad_page_out != nullptr && *first_bad_page_out < 0) {
-          *first_bad_page_out = static_cast<int64_t>(page->index);
-        }
-      }
-      actual += page_actual;
+  // Page-granular scrub: recompute each page's shard against its
+  // maintained hash_sum, which localizes corruption to one page (and
+  // catches two compensating corruptions the global sum would miss).
+  for (const auto& owned : pages_) {
+    Page* page = owned.get();
+    const PagePin pin(this, page);
+    uint64_t page_actual = 0;
+    const size_t base = page->index << kPageRowShift;
+    for (size_t slot = 0; slot < page->row_count; ++slot) {
+      if (live_[base + slot]) page_actual += RowHash(page->rows[slot]);
     }
-  } else {
-    for (size_t row_id = 0; row_id < rows_.size(); ++row_id) {
-      if (live_[row_id]) actual += RowHash(rows_[row_id]);
+    if (page_actual != page->hash_sum) {
+      pages_ok = false;
+      if (first_bad_page_out != nullptr && *first_bad_page_out < 0) {
+        *first_bad_page_out = static_cast<int64_t>(page->index);
+      }
     }
+    actual += page_actual;
   }
   if (expected_out != nullptr) *expected_out = content_hash_;
   if (actual_out != nullptr) *actual_out = actual;
@@ -473,8 +415,7 @@ bool Table::VerifyContent(uint64_t* expected_out, uint64_t* actual_out,
 }
 
 void Table::CorruptCellForTesting(size_t row_id, size_t column) {
-  Page* page = paged_ ? PageFor(row_id) : nullptr;
-  const PagePin pin(this, page);
+  const PagePin pin(this, PageFor(row_id));
   Value& cell = StoredRow(row_id)[column];
   if (cell.is_int()) {
     cell = Value(cell.as_int() ^ (int64_t{1} << 20));

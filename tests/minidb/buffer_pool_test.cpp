@@ -1,8 +1,9 @@
 // Paged storage & buffer pool acceptance suite (`ctest -L storage`):
 // pin/unpin balance, clock eviction order, pinned-page eviction refusal,
 // spill/reload round trips, quota-pressure reclaim, the CHECKSUM TABLE
-// statement, checkpoint dump reuse, a paged-vs-resident differential, and
-// a reader/writer/evictor race for the tsan preset.
+// statement, checkpoint dump reuse, unbounded-vs-bounded pool differentials
+// (statement stream and PageRank in all four execution modes), and a
+// reader/writer/evictor race for the tsan preset.
 #include "minidb/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <mutex>
@@ -20,10 +22,16 @@
 #include "common/error.h"
 #include "common/memory_tracker.h"
 #include "core/checkpoint.h"
+#include "core/sqloop.h"
+#include "core/workloads.h"
+#include "dbc/driver.h"
+#include "graph/generators.h"
+#include "graph/loader.h"
 #include "minidb/database.h"
 #include "minidb/dump.h"
 #include "minidb/executor.h"
 #include "minidb/page.h"
+#include "minidb/server.h"
 #include "minidb/table.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -74,7 +82,7 @@ struct PagedFixture {
         table(std::make_unique<Table>("t", MakeSchema())) {
     pool->set_budget_bytes(budget_bytes);
     table->set_integrity_enabled(true);
-    table->ConfigureStorage(pool, /*paged=*/true);
+    table->ConfigureStorage(pool);
   }
 
   void InsertRows(int64_t count) {
@@ -396,19 +404,19 @@ TEST(CheckpointReuse, UnchangedChecksumRepublishesSealedDump) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
-  // The same statement stream through (a) the resident vector heap and
-  // (b) paged storage under a budget far below the data size must agree
-  // bit-for-bit — values, row order, and the maintained checksum.
-  Database resident("res", EngineProfile::Canonical());
-  resident.set_paged_enabled(false);
+TEST(PagedDifferential, BitIdenticalToUnboundedUnderTinyBudget) {
+  // The same statement stream through (a) an unbounded pool that never
+  // evicts and (b) a budget far below the data size, where nearly every
+  // page access faults, must agree bit-for-bit — values, row order, and
+  // the maintained checksum.
+  Database unbounded("unb", EngineProfile::Canonical());
   Database paged("pag", EngineProfile::Canonical());
   paged.set_buffer_pool_bytes(96 << 10);  // a couple of pages of budget
-  Executor res_exec(resident);
+  Executor unb_exec(unbounded);
   Executor pag_exec(paged);
 
   const auto run_both = [&](const std::string& sql) {
-    const ResultSet a = res_exec.ExecuteSql(sql);
+    const ResultSet a = unb_exec.ExecuteSql(sql);
     const ResultSet b = pag_exec.ExecuteSql(sql);
     ASSERT_EQ(a.rows.size(), b.rows.size()) << sql;
     for (size_t r = 0; r < a.rows.size(); ++r) {
@@ -438,6 +446,7 @@ TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
   }
   EXPECT_GT(paged.buffer_pool().stats().pages_evicted, 0u)
       << "the tiny budget must actually force spills";
+  EXPECT_EQ(unbounded.buffer_pool().stats().pages_evicted, 0u);
 
   run_both("SELECT * FROM s WHERE rank > 100.0 ORDER BY id LIMIT 50");
   run_both("SELECT COUNT(*), SUM(rank), MIN(id), MAX(id) FROM s");
@@ -451,9 +460,95 @@ TEST(PagedDifferential, BitIdenticalToResidentUnderTinyBudget) {
   run_both("DELETE FROM e WHERE src = 13");
   run_both("SELECT COUNT(*) FROM e");
   run_both("SELECT DISTINCT tag FROM s ORDER BY tag");
-  // The maintained checksums agree across representations.
+  // The maintained checksums agree across pool budgets.
   run_both("CHECKSUM TABLE s");
   run_both("CHECKSUM TABLE e");
+}
+
+/// Order-preserving row dump (%.17g doubles — bit-faithful).
+std::string Dump(const dbc::ResultSet& result) {
+  std::string out;
+  for (const auto& row : result.rows) {
+    for (const auto& value : row) out += value.ToString() + "|";
+    out += "\n";
+  }
+  return out;
+}
+
+/// Node -> rank of a `SELECT Node, Rank` result.
+std::map<int64_t, double> Ranks(const dbc::ResultSet& result) {
+  std::map<int64_t, double> ranks;
+  for (const auto& row : result.rows) {
+    ranks[row[0].as_int()] = row[1].NumericAsDouble();
+  }
+  return ranks;
+}
+
+TEST(PagedDifferential, PageRankAgreesUnderQuarterPoolInEveryMode) {
+  // PageRank to convergence on the same graph twice: once under an
+  // unbounded pool, once with a budget a quarter of the edges table, so
+  // the round's joins fault pages in and out of the spill files.
+  // Deterministic modes must be bit-identical; the async modes sum in
+  // scheduling order, so they get the repo's 1e-9 tolerance.
+  Server server;
+  const std::string host = "storage_pagerank";
+  dbc::DriverManager::RegisterHost(host, &server);
+  auto unbounded_db = server.CreateDatabase("unb", EngineProfile::Postgres());
+  auto bounded_db = server.CreateDatabase("bnd", EngineProfile::Postgres());
+  const auto url = [&](const std::string& db) {
+    return "minidb://" + host + "/" + db + "?latency_us=0";
+  };
+  auto unbounded = dbc::DriverManager::GetConnection(url("unb"));
+  auto bounded = dbc::DriverManager::GetConnection(url("bnd"));
+
+  const graph::Graph g = graph::MakeWebGraph(300, 4, 7);
+  graph::LoadEdges(*unbounded, g);
+  const int64_t table_bytes = unbounded_db->FindTable("edges")->tracked_bytes();
+  // Set before LoadEdges creates the table: eviction participation is
+  // latched at table creation.
+  bounded_db->set_buffer_pool_bytes(table_bytes / 4);
+  graph::LoadEdges(*bounded, g);
+  ASSERT_GT(bounded_db->FindTable("edges")->page_count(), 1u);
+
+  const std::string query = core::workloads::PageRankQuery(50);
+  const std::pair<core::ExecutionMode, bool> modes[] = {
+      {core::ExecutionMode::kSingleThread, true},
+      {core::ExecutionMode::kSync, true},
+      {core::ExecutionMode::kAsync, false},
+      {core::ExecutionMode::kAsyncPriority, false},
+  };
+  for (const auto& [mode, deterministic] : modes) {
+    core::SqloopOptions options;
+    options.mode = mode;
+    options.partitions = 8;
+    options.threads = 3;
+    if (mode == core::ExecutionMode::kAsyncPriority) {
+      options.priority_query = core::workloads::PageRankPriorityQuery();
+      options.priority_descending = true;
+    }
+    const auto expected = core::SqLoop(url("unb")).Execute(query, options);
+    const auto actual = core::SqLoop(url("bnd")).Execute(query, options);
+    const char* name = core::ExecutionModeName(mode);
+    if (deterministic) {
+      EXPECT_EQ(Dump(expected), Dump(actual)) << name;
+      continue;
+    }
+    const auto want = Ranks(expected);
+    const auto got = Ranks(actual);
+    ASSERT_EQ(want.size(), got.size()) << name;
+    for (const auto& [node, rank] : want) {
+      ASSERT_TRUE(got.contains(node)) << name << " node " << node;
+      EXPECT_NEAR(got.at(node), rank, 1e-9) << name << " node " << node;
+    }
+  }
+
+  EXPECT_EQ(unbounded->ExecuteQuery("CHECKSUM TABLE edges").rows[0][1].as_text(),
+            bounded->ExecuteQuery("CHECKSUM TABLE edges").rows[0][1].as_text());
+  const BufferPool::Stats stats = bounded_db->buffer_pool().stats();
+  EXPECT_GT(stats.pages_evicted, 0u);
+  EXPECT_GT(stats.bytes_spilled, 0u);
+  EXPECT_EQ(unbounded_db->buffer_pool().stats().pages_evicted, 0u);
+  dbc::DriverManager::RegisterHost(host, nullptr);
 }
 
 TEST(BufferPool, ReaderWriterEvictorRace) {

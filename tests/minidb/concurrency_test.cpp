@@ -78,7 +78,8 @@ TEST(Concurrency, ParallelReadersWithOneWriterOnSameTable) {
 
 TEST(Concurrency, CrossTableUpdatesDoNotDeadlock) {
   // Two writers updating (a from b) and (b from a) concurrently — the
-  // sorted lock acquisition must prevent deadlock.
+  // sorted lock acquisition must prevent deadlock. The modulus keeps the
+  // mutually feeding values inside BIGINT.
   Database db("c", EngineProfile::Canonical());
   Executor exec(db);
   exec.ExecuteSql("CREATE TABLE a (id BIGINT PRIMARY KEY, v BIGINT)");
@@ -89,14 +90,14 @@ TEST(Concurrency, CrossTableUpdatesDoNotDeadlock) {
   workers.emplace_back([&db] {
     Executor w(db);
     for (int i = 0; i < 200; ++i) {
-      w.ExecuteSql("UPDATE a SET v = a.v + s.v + 1 FROM b AS s "
+      w.ExecuteSql("UPDATE a SET v = (a.v + s.v + 1) % 1000003 FROM b AS s "
                    "WHERE a.id = s.id");
     }
   });
   workers.emplace_back([&db] {
     Executor w(db);
     for (int i = 0; i < 200; ++i) {
-      w.ExecuteSql("UPDATE b SET v = b.v + s.v + 1 FROM a AS s "
+      w.ExecuteSql("UPDATE b SET v = (b.v + s.v + 1) % 1000003 FROM a AS s "
                    "WHERE b.id = s.id");
     }
   });

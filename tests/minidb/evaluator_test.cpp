@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "sql/parser.h"
@@ -75,6 +78,39 @@ TEST(Evaluator, DivisionAndModuloErrors) {
   EXPECT_THROW(Eval("1.5 % 2"), ExecutionError);
 }
 
+/// The message Eval raises for `expr_sql`, or "" when it does not throw.
+std::string EvalError(const std::string& expr_sql) {
+  try {
+    Eval(expr_sql);
+  } catch (const ExecutionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Evaluator, BigintOverflowRaisesInsteadOfWrapping) {
+  const std::string kMax = "9223372036854775807";
+  const std::string kMin = "(-9223372036854775807 - 1)";
+  const std::string kOutOfRange = "execution error: bigint out of range";
+  EXPECT_EQ(EvalError(kMax + " + 1"), kOutOfRange);
+  EXPECT_EQ(EvalError(kMin + " - 1"), kOutOfRange);
+  EXPECT_EQ(EvalError(kMax + " * 2"), kOutOfRange);
+  EXPECT_EQ(EvalError(kMin + " * -1"), kOutOfRange);
+  EXPECT_EQ(EvalError(kMin + " / -1"), kOutOfRange);
+  EXPECT_EQ(EvalError(kMin + " % -1"), kOutOfRange);
+  EXPECT_EQ(EvalError("-" + kMin), kOutOfRange);
+  EXPECT_EQ(EvalError("ABS" + kMin), kOutOfRange);
+  // The edges themselves stay exact.
+  EXPECT_EQ(Eval(kMax + " - 1 + 1").as_int(), INT64_MAX);
+  EXPECT_EQ(Eval(kMin).as_int(), INT64_MIN);
+  EXPECT_EQ(Eval(kMin + " / 1").as_int(), INT64_MIN);
+  EXPECT_EQ(Eval(kMin + " % 1").as_int(), 0);
+  EXPECT_EQ(Eval(kMax + " / -1").as_int(), -INT64_MAX);
+  EXPECT_EQ(Eval(kMax + " % -1").as_int(), 0);
+  // Doubles keep IEEE semantics.
+  EXPECT_TRUE(Eval(kMax + " + 1.0").is_double());
+}
+
 TEST(Evaluator, ScalarFunctions) {
   EXPECT_EQ(Eval("ABS(-3)").as_int(), 3);
   EXPECT_DOUBLE_EQ(Eval("ABS(-2.5)").as_double(), 2.5);
@@ -120,6 +156,33 @@ TEST(Accumulator, SumStaysIntegerUntilDoubleArrives) {
   acc.Add(Value(0.5));
   EXPECT_TRUE(acc.Result().is_double());
   EXPECT_DOUBLE_EQ(acc.Result().as_double(), 5.5);
+}
+
+TEST(Accumulator, IntegerSumOverflowRaisesOnBothFeeds) {
+  // Per-row and span feeds raise at the same point: any running sum that
+  // leaves BIGINT, even one a later value would bring back into range.
+  const std::vector<int64_t> values = {INT64_MAX - 1, 1, 1, -5};
+  for (const auto func : {sql::AggFunc::kSum, sql::AggFunc::kAvg}) {
+    Accumulator rows(func, false);
+    rows.Add(Value(values[0]));
+    rows.Add(Value(values[1]));
+    EXPECT_THROW(rows.Add(Value(values[2])), ExecutionError);
+
+    Accumulator span(func, false);
+    EXPECT_THROW(span.AddInt64Span(values.data(), values.size()),
+                 ExecutionError);
+
+    Accumulator fits(func, false);
+    fits.AddInt64Span(values.data(), 2);  // exactly INT64_MAX fits
+    if (func == sql::AggFunc::kSum) {
+      EXPECT_EQ(fits.Result().as_int(), INT64_MAX);
+    }
+  }
+  // Once a double arrived the sum is a double and cannot overflow.
+  Accumulator mixed(sql::AggFunc::kSum, false);
+  mixed.Add(Value(0.5));
+  mixed.AddInt64Span(values.data(), values.size());
+  EXPECT_TRUE(mixed.Result().is_double());
 }
 
 TEST(Accumulator, SumOfNothingIsNull) {

@@ -261,6 +261,71 @@ INSTANTIATE_TEST_SUITE_P(EngineProfiles, FusedDifferential,
                            return std::string(info.param);
                          });
 
+// BIGINT overflow must raise the same error on all three pipelines: the
+// vectorized plane sums int64 lanes in spans, the other two row by row.
+TEST(FusedDifferential, BigintOverflowRaisesOnEveryPipeline) {
+  Database db("overflow", EngineProfile::ByName("postgres"));
+  Executor exec(db);
+  exec.ExecuteSql("CREATE TABLE big (id BIGINT PRIMARY KEY, k BIGINT, "
+                  "v BIGINT)");
+  // Ids 0..2 sum past INT64_MAX and back into range (SUM must still raise);
+  // the filler rows carry the scan past one vector batch.
+  exec.ExecuteSql("INSERT INTO big VALUES (0, 0, 9223372036854775807)");
+  exec.ExecuteSql("INSERT INTO big VALUES (1, 0, 1)");
+  exec.ExecuteSql("INSERT INTO big VALUES (2, 0, -2)");
+  for (int i = 3; i < 1500; ++i) {
+    exec.ExecuteSql("INSERT INTO big VALUES (" + std::to_string(i) + ", " +
+                    std::to_string(i % 3) + ", 0)");
+  }
+  // SUM over a bare column is the vectorized plane's span feed.
+  exec.ExecuteSql("SELECT SUM(v) FROM big WHERE id > 0");
+  EXPECT_EQ(exec.last_engine_counters().vectorized_cores, 1u);
+  EXPECT_EQ(exec.last_engine_counters().scalar_fallbacks, 0u);
+  const std::vector<std::string> overflowing = {
+      "SELECT SUM(v) FROM big",
+      "SELECT SUM(v) FROM big WHERE k = 0",
+      "SELECT k, SUM(v) FROM big GROUP BY k",
+      "SELECT AVG(v) FROM big WHERE id < 3",
+      "SELECT v + 1 FROM big WHERE id = 0",
+      "SELECT id FROM big WHERE v * 2 > 0",
+      "SELECT -v - 2 FROM big WHERE k = 0",
+      "SELECT (-v - 1) / -1 FROM big WHERE id = 0",
+      "SELECT (-v - 1) % -1 FROM big WHERE id = 0",
+      "SELECT SUM(v + 1) FROM big",
+  };
+  for (const std::string& sql : overflowing) {
+    for (const int pipeline : {0, 1, 2}) {  // vectorized, fused, reference
+      db.set_fused_enabled(pipeline < 2);
+      db.set_vectorized_enabled(pipeline == 0);
+      try {
+        exec.ExecuteSql(sql);
+        ADD_FAILURE() << "pipeline " << pipeline << " did not raise: " << sql;
+      } catch (const ExecutionError& e) {
+        EXPECT_STREQ(e.what(), "execution error: bigint out of range")
+            << "pipeline " << pipeline << ": " << sql;
+      }
+    }
+  }
+  db.set_fused_enabled(true);
+  db.set_vectorized_enabled(true);
+  // In-range neighbours of the same shapes still agree bit for bit.
+  for (const std::string sql :
+       {"SELECT SUM(v) FROM big WHERE id > 0",
+        "SELECT k, SUM(v), AVG(v) FROM big WHERE id > 0 GROUP BY k ORDER BY k",
+        "SELECT v - 1, -v FROM big WHERE id = 0"}) {
+    const Outcome vectorized = RunOnce(exec, sql);
+    db.set_vectorized_enabled(false);
+    const Outcome fused = RunOnce(exec, sql);
+    db.set_fused_enabled(false);
+    const Outcome reference = RunOnce(exec, sql);
+    db.set_fused_enabled(true);
+    db.set_vectorized_enabled(true);
+    EXPECT_FALSE(reference.threw) << sql;
+    EXPECT_EQ(vectorized.rows, reference.rows) << sql;
+    EXPECT_EQ(fused.rows, reference.rows) << sql;
+  }
+}
+
 // Borrowed row views live only for the statement that holds the table's
 // shared lock; this hammers that boundary with concurrent writers while
 // another thread flips the pipeline toggle, so the tsan preset can see

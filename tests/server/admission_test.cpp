@@ -161,13 +161,24 @@ TEST(FairScheduler, GrantsRoundsProportionalToWeight) {
   std::thread light([&] { drive("light"); });
   std::thread heavy([&] { drive("heavy"); });
 
-  // Sample while both tenants are contending: in steady state the stride
-  // scheduler grants heavy three rounds for every light one.
+  // Sample only while both tenants are contending: in steady state the
+  // stride scheduler grants heavy three rounds for every light one. Grants
+  // from before the second thread arrived ran uncontended, so the window
+  // opens once each tenant holds a grant and the ratio uses deltas.
+  uint64_t l0 = 0;
+  uint64_t h0 = 0;
+  int i = 0;
+  for (; i < 20000; ++i) {
+    l0 = scheduler.granted("light");
+    h0 = scheduler.granted("heavy");
+    if (l0 >= 1 && h0 >= 1) break;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
   uint64_t l = 0;
   uint64_t h = 0;
-  for (int i = 0; i < 20000; ++i) {
-    l = scheduler.granted("light");
-    h = scheduler.granted("heavy");
+  for (; i < 20000; ++i) {
+    l = scheduler.granted("light") - l0;
+    h = scheduler.granted("heavy") - h0;
     if (l + h >= 40 && l >= 4) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
