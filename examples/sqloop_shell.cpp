@@ -166,6 +166,9 @@ void PrintStats(const core::RunStats& stats) {
                 << " batches=" << rec.counter("minidb.batches_produced")
                 << " scalar_fallbacks="
                 << rec.counter("minidb.scalar_fallbacks")
+                << " int_key_tables="
+                << rec.counter("minidb.int_key_tables")
+                << " key_fallbacks=" << rec.counter("minidb.key_fallbacks")
                 << "\n";
     }
     const uint64_t gov_peak = rec.counter("governance.job_bytes_peak");

@@ -1,19 +1,36 @@
 #include "minidb/evaluator.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/error.h"
 
 namespace sqloop::minidb {
 
-void Relation::Materialize() {
-  if (!borrowed) return;
-  rows.reserve(views.size());
-  for (const Row* view : views) rows.push_back(*view);
-  views.clear();
-  views.shrink_to_fit();
-  borrowed = false;
+Row RowRef::Materialize(size_t width) const {
+  if (flat != nullptr) return *flat;
+  Row out;
+  out.reserve(width);
+  for (size_t i = 0; i < width; ++i) out.push_back(join[i]);
+  return out;
+}
+
+int ResolutionCache::Resolve(const sql::Expr& ref,
+                             const std::vector<ColumnBinding>& columns) {
+  const size_t n = entries_.size();
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = cursor_ + k < n ? cursor_ + k : cursor_ + k - n;
+    if (entries_[i].first == &ref) {
+      cursor_ = i + 1 < n ? i + 1 : 0;
+      return entries_[i].second;
+    }
+  }
+  const int index = ResolveColumn(columns, ref.qualifier, ref.column);
+  entries_.emplace_back(&ref, index);
+  cursor_ = 0;
+  return index;
 }
 
 namespace {
@@ -127,9 +144,20 @@ Value Logical(sql::BinaryOp op, const Value& a, const Value& b) {
 
 Value EvalFunction(const sql::Expr& expr, const EvalContext& ctx) {
   const std::string& name = expr.function_name;
-  std::vector<Value> args;
-  args.reserve(expr.args.size());
-  for (const auto& arg : expr.args) args.push_back(Evaluate(*arg, ctx));
+  // Up to four arguments evaluate into an inline buffer, so per-row calls
+  // (LEAST inside an aggregate argument) allocate nothing.
+  constexpr size_t kInlineArgs = 4;
+  std::array<Value, kInlineArgs> inline_args;
+  std::vector<Value> heap_args;
+  Value* slots = inline_args.data();
+  if (expr.args.size() > kInlineArgs) {
+    heap_args.resize(expr.args.size());
+    slots = heap_args.data();
+  }
+  for (size_t i = 0; i < expr.args.size(); ++i) {
+    slots[i] = Evaluate(*expr.args[i], ctx);
+  }
+  const std::span<const Value> args(slots, expr.args.size());
 
   if (name == "COALESCE") {
     for (const Value& v : args) {
@@ -236,23 +264,16 @@ Value Evaluate(const sql::Expr& expr, const EvalContext& ctx) {
     case sql::ExprKind::kLiteral:
       return expr.literal;
     case sql::ExprKind::kColumnRef: {
-      if (ctx.columns == nullptr || ctx.row == nullptr) {
+      if (ctx.columns == nullptr ||
+          (ctx.row == nullptr && ctx.join.parts == nullptr)) {
         throw AnalysisError("column reference '" + expr.column +
                             "' in a context without input rows");
       }
-      int index;
-      if (ctx.resolution_cache != nullptr) {
-        const auto it = ctx.resolution_cache->find(&expr);
-        if (it != ctx.resolution_cache->end()) {
-          index = it->second;
-        } else {
-          index = ResolveColumn(*ctx.columns, expr.qualifier, expr.column);
-          ctx.resolution_cache->emplace(&expr, index);
-        }
-      } else {
-        index = ResolveColumn(*ctx.columns, expr.qualifier, expr.column);
-      }
-      return (*ctx.row)[index];
+      const int index =
+          ctx.resolution_cache != nullptr
+              ? ctx.resolution_cache->Resolve(expr, *ctx.columns)
+              : ResolveColumn(*ctx.columns, expr.qualifier, expr.column);
+      return ctx.row != nullptr ? (*ctx.row)[index] : ctx.join[index];
     }
     case sql::ExprKind::kStar:
       throw AnalysisError("'*' is only valid in SELECT lists and COUNT(*)");

@@ -3,8 +3,9 @@
 // accumulators for SUM / MIN / MAX / COUNT / AVG.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "minidb/schema.h"
@@ -44,24 +45,92 @@ struct Relation {
   const Row& row(size_t i) const noexcept {
     return borrowed ? *views[i] : rows[i];
   }
-
-  /// Deep-copies borrowed views into owned rows; no-op when already owned.
-  void Materialize();
 };
 
-/// Evaluation context: the current row inside a relation, plus (during
+/// The SQL NULL every NULL-padded join column reads as.
+inline const Value& NullCell() noexcept {
+  static const Value null;
+  return null;
+}
+
+/// Where one column of a join row lives: the join input (`part`) whose
+/// base row holds it, and the column's offset within that row.
+struct ColumnSlot {
+  uint32_t part = 0;
+  uint32_t offset = 0;
+};
+
+/// A join row read in place (late materialization): one base-row pointer
+/// per input of the join tree — null for the NULL-padded side of a LEFT
+/// JOIN — and the per-column slots that map the combined column list onto
+/// those parts. Nothing is copied until a boundary (projection, a group's
+/// representative row, a materializing caller) asks for values.
+struct JoinRowView {
+  const Row* const* parts = nullptr;
+  const ColumnSlot* slots = nullptr;
+
+  const Value& operator[](size_t column) const noexcept {
+    const ColumnSlot slot = slots[column];
+    const Row* part = parts[slot.part];
+    return part != nullptr ? (*part)[slot.offset] : NullCell();
+  }
+};
+
+/// One input row of the SELECT pipeline: a flat row (scans, the reference
+/// pipeline) or a join row view.
+struct RowRef {
+  const Row* flat = nullptr;
+  JoinRowView join;
+
+  RowRef(const Row& row) noexcept : flat(&row) {}  // NOLINT: implicit
+  explicit RowRef(JoinRowView view) noexcept : join(view) {}
+
+  const Value& operator[](size_t column) const noexcept {
+    return flat != nullptr ? (*flat)[column] : join[column];
+  }
+  /// Copies the first `width` columns into an owned row.
+  Row Materialize(size_t width) const;
+};
+
+/// Memoized column-reference resolutions against one binding list. Each
+/// reference resolves once (on first evaluation, so an unresolvable one
+/// still raises only if a row reaches it); afterwards a lookup is a
+/// pointer compare at a cursor that follows the per-row evaluation order,
+/// so hot loops do no hashing and no name matching.
+class ResolutionCache {
+ public:
+  int Resolve(const sql::Expr& ref, const std::vector<ColumnBinding>& columns);
+
+ private:
+  std::vector<std::pair<const sql::Expr*, int>> entries_;
+  size_t cursor_ = 0;
+};
+
+/// Evaluation context: the current row inside a relation — a flat `row`,
+/// or, when `row` is null, the join row view `join` — plus (during
 /// aggregate projection) the values computed for each aggregate
-/// sub-expression of the SELECT list.
-///
-/// `resolution_cache` memoizes column-reference lookups per (expression
-/// node, relation) so hot loops avoid repeated linear scans.
+/// sub-expression of the SELECT list. `resolution_cache`, when set,
+/// memoizes column-reference lookups for `columns`.
 struct EvalContext {
   const std::vector<ColumnBinding>* columns = nullptr;
   const Row* row = nullptr;
   const std::vector<const sql::Expr*>* agg_exprs = nullptr;
   const std::vector<Value>* agg_values = nullptr;
-  std::unordered_map<const sql::Expr*, int>* resolution_cache = nullptr;
+  ResolutionCache* resolution_cache = nullptr;
+  JoinRowView join;
 };
+
+/// Context for evaluating against one pipeline input row.
+inline EvalContext InputContext(const std::vector<ColumnBinding>& columns,
+                                const RowRef& input,
+                                ResolutionCache* cache) noexcept {
+  EvalContext ec;
+  ec.columns = &columns;
+  ec.row = input.flat;
+  ec.join = input.join;
+  ec.resolution_cache = cache;
+  return ec;
+}
 
 /// Evaluates `expr` in `ctx`. Throws AnalysisError for unresolved or
 /// ambiguous columns and ExecutionError for runtime type errors.

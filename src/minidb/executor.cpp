@@ -12,6 +12,7 @@
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "minidb/dump.h"
+#include "minidb/int_key_table.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "telemetry/hooks.h"
@@ -475,11 +476,21 @@ std::vector<ColumnBinding> CombinedOrderBindings(size_t output_width,
   return combined;
 }
 
-Row ConcatRows(const Row& left, const Row& right) {
+/// Whether an UPDATE's new row differs from the stored one (NULLs equal).
+bool RowChanged(const Row& updated, const Row& current) {
+  for (size_t i = 0; i < updated.size(); ++i) {
+    if (!Value::KeyEquals(updated[i], current[i])) return true;
+  }
+  return false;
+}
+
+/// `left` followed by the first `right_width` columns of `right` (the
+/// combined projected + input row ORDER BY keys evaluate against).
+Row ConcatRows(const Row& left, const RowRef& right, size_t right_width) {
   Row out;
-  out.reserve(left.size() + right.size());
+  out.reserve(left.size() + right_width);
   out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
+  for (size_t i = 0; i < right_width; ++i) out.push_back(right[i]);
   return out;
 }
 
@@ -577,14 +588,14 @@ void Executor::ScanPush(const Table& table,
                         const std::vector<const sql::Expr*>& pushed,
                         int probe_conjunct, const std::string& probe_column,
                         const RowSink& sink) {
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionCache cache;
   counters_.pushed_predicates += pushed.size();
   // Classic AND evaluates every operand (no short-circuit), so every
   // pushed conjunct is evaluated for every visited row — same evaluation
   // count, same errors, same three-valued filtering as the reference path.
   const auto passes = [&](const Row& row) {
     bool ok = true;
-    EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
+    const EvalContext ec = InputContext(columns, row, &cache);
     for (const sql::Expr* conjunct : pushed) {
       if (!Truthy(Evaluate(*conjunct, ec))) ok = false;
     }
@@ -672,7 +683,7 @@ void Executor::ScanBatched(const Table& table,
                            int probe_conjunct,
                            const std::string& probe_column,
                            const BatchSink& sink) {
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionCache cache;
   counters_.pushed_predicates += pushed.size();
   bool any_fallback = false;
   bool rewriting_kernel = false;
@@ -708,7 +719,7 @@ void Executor::ScanBatched(const Table& table,
       lane_pass_.assign(batch.size, 1);
       for (uint32_t lane = 0; lane < batch.size; ++lane) {
         const Row& row = *batch.rows[lane];
-        EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
+        const EvalContext ec = InputContext(columns, row, &cache);
         for (size_t c = 0; c < pushed.size(); ++c) {
           if (compiled[c]) continue;
           if (!Truthy(Evaluate(*pushed[c], ec))) lane_pass_[lane] = 0;
@@ -857,7 +868,8 @@ Relation Executor::EvalTableRef(const sql::TableRef& ref, ExecContext& ctx) {
 }
 
 Relation Executor::EvalJoin(const sql::TableRef& join, ExecContext& ctx) {
-  JoinState state = PrepareJoin(join, ctx, /*pending=*/nullptr);
+  JoinState state =
+      PrepareJoin(join, ctx, /*pending=*/nullptr, db_.fused_enabled());
   Relation out;
   out.columns = state.columns;
   if (join.join_kind == sql::JoinKind::kCross) {
@@ -867,17 +879,37 @@ Relation Executor::EvalJoin(const sql::TableRef& join, ExecContext& ctx) {
     GuardedReserve(out.rows,
                    SaturatingMul(state.left.row_count(), right_rows));
   }
-  const auto collect = [this, &out](Row&& row) {
-    GovCharge(RowFootprintBytes(row));
-    out.rows.push_back(std::move(row));
+  const size_t width = state.columns.size();
+  const auto collect = [&](const Row* const* parts) {
+    out.rows.push_back(
+        RowRef(JoinRowView{parts, state.slots.data()}).Materialize(width));
+    GovCharge(RowFootprintBytes(out.rows.back()));
   };
-  RunJoin(state, collect);
+  RunJoin(state, /*retain=*/false, collect);
   counters_.rows_materialized += out.rows.size();
   return out;
 }
 
-Relation Executor::EvalJoinInput(const sql::TableRef& ref, ExecContext& ctx,
-                                 std::vector<const sql::Expr*>* pending) {
+Executor::JoinInput Executor::LeafInput(Relation rel) {
+  JoinInput in;
+  in.slots.reserve(rel.columns.size());
+  for (size_t c = 0; c < rel.columns.size(); ++c) {
+    in.slots.push_back({0, static_cast<uint32_t>(c)});
+  }
+  if (rel.borrowed) {
+    in.parts = std::move(rel.views);  // the scan already charged them
+  } else {
+    in.parts.reserve(rel.rows.size());
+    for (const Row& row : rel.rows) in.parts.push_back(&row);
+    GovCharge(static_cast<int64_t>(in.parts.size() * sizeof(const Row*)));
+  }
+  in.rel = std::move(rel);  // moving keeps the row buffer (and `parts`)
+  return in;
+}
+
+Executor::JoinInput Executor::EvalJoinInput(
+    const sql::TableRef& ref, ExecContext& ctx,
+    std::vector<const sql::Expr*>* pending, bool fused) {
   if (pending != nullptr && ref.kind == sql::TableRefKind::kBase) {
     const std::string name = FoldIdentifier(ref.table_name);
     if (!ctx.cte_bindings.contains(name) && !db_.HasView(name)) {
@@ -899,36 +931,42 @@ Relation Executor::EvalJoinInput(const sql::TableRef& ref, ExecContext& ctx,
             ++it;
           }
         }
-        return ScanFiltered(*table, ref.alias, pushed);
+        return LeafInput(ScanFiltered(*table, ref.alias, pushed));
       }
       // Missing relation: EvalTableRef below owns the error message.
     }
   }
-  if (pending != nullptr && ref.kind == sql::TableRefKind::kJoin) {
-    JoinState nested = PrepareJoin(ref, ctx, pending);
-    Relation out;
-    out.columns = nested.columns;
-    const auto collect = [this, &out](Row&& row) {
-      GovCharge(RowFootprintBytes(row));
-      out.rows.push_back(std::move(row));
+  if (fused && ref.kind == sql::TableRefKind::kJoin) {
+    // Late materialization: the nested join's rows stay views into the
+    // inputs its state owns; only the part pointers are stored.
+    auto nested =
+        std::make_unique<JoinState>(PrepareJoin(ref, ctx, pending, fused));
+    JoinInput in;
+    in.rel.columns = nested->columns;
+    in.slots = nested->slots;
+    in.width = nested->width;
+    const auto collect = [&in, this](const Row* const* parts) {
+      in.parts.insert(in.parts.end(), parts, parts + in.width);
+      GovCharge(static_cast<int64_t>(in.width * sizeof(const Row*)));
     };
-    RunJoin(nested, collect);
-    counters_.rows_materialized += out.rows.size();
-    return out;
+    RunJoin(*nested, /*retain=*/true, collect);
+    in.nested = std::move(nested);
+    return in;
   }
-  return EvalTableRef(ref, ctx);
+  return LeafInput(EvalTableRef(ref, ctx));
 }
 
 Executor::JoinState Executor::PrepareJoin(
     const sql::TableRef& join, ExecContext& ctx,
-    std::vector<const sql::Expr*>* pending) {
+    std::vector<const sql::Expr*>* pending, bool fused) {
   JoinState state;
   state.join = &join;
+  state.fused = fused;
   const bool left_join = join.join_kind == sql::JoinKind::kLeft;
   // A left-only WHERE conjunct commutes with a LEFT JOIN (a failing left
   // row only ever produces failing outputs), so the left input always
   // sees `pending`.
-  state.left = EvalJoinInput(*join.left, ctx, pending);
+  state.left = EvalJoinInput(*join.left, ctx, pending, fused);
 
   const sql::TableRef& right_ref = *join.right;
   // When the right side is a plain base table (not a CTE or view) we keep
@@ -963,69 +1001,103 @@ Executor::JoinState Executor::PrepareJoin(
         }
       }
       if (!pushed.empty()) {
-        state.right =
-            ScanFiltered(*state.right_table, right_ref.alias, pushed);
+        state.right = LeafInput(
+            ScanFiltered(*state.right_table, right_ref.alias, pushed));
         state.right_materialized = true;  // rules out index nested loop
       }
     }
   } else {
     state.right =
-        EvalJoinInput(right_ref, ctx, left_join ? nullptr : pending);
-    state.right_columns = state.right.columns;
+        EvalJoinInput(right_ref, ctx, left_join ? nullptr : pending, fused);
+    state.right_columns = state.right.rel.columns;
     state.right_materialized = true;
   }
 
-  state.columns.reserve(state.left.columns.size() +
-                        state.right_columns.size());
-  state.columns.insert(state.columns.end(), state.left.columns.begin(),
-                       state.left.columns.end());
+  const std::vector<ColumnBinding>& left_columns = state.left.rel.columns;
+  state.columns.reserve(left_columns.size() + state.right_columns.size());
+  state.columns.insert(state.columns.end(), left_columns.begin(),
+                       left_columns.end());
   state.columns.insert(state.columns.end(), state.right_columns.begin(),
                        state.right_columns.end());
 
+  // Slots: the left input's parts come first, the right input's after
+  // them. A right base table not yet scanned becomes a width-1 leaf.
+  const auto left_width = static_cast<uint32_t>(state.left.width);
+  state.slots = state.left.slots;
+  state.slots.reserve(state.columns.size());
+  if (state.right_materialized) {
+    for (const ColumnSlot& slot : state.right.slots) {
+      state.slots.push_back({slot.part + left_width, slot.offset});
+    }
+    state.width = state.left.width + state.right.width;
+  } else {
+    for (size_t c = 0; c < state.right_columns.size(); ++c) {
+      state.slots.push_back({left_width, static_cast<uint32_t>(c)});
+    }
+    state.width = state.left.width + 1;
+  }
+
   if (join.join_kind != sql::JoinKind::kCross) {
-    ClassifyJoinCondition(join.on_condition.get(), state.left.columns,
+    ClassifyJoinCondition(join.on_condition.get(), left_columns,
                           state.right_columns, state.equi, state.residual);
   }
   return state;
 }
 
-void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
+void Executor::RunJoin(JoinState& state, bool retain, const JoinSink& sink) {
   const sql::TableRef& join = *state.join;
-  const Relation& left = state.left;
+  const JoinInput& left = state.left;
+  const size_t left_width = left.width;
 
   const auto materialize_right = [&] {
     if (!state.right_materialized) {
-      state.right = ScanTable(*state.right_table, join.right->alias);
+      state.right = LeafInput(ScanTable(*state.right_table, join.right->alias));
       state.right_materialized = true;
     }
+  };
+
+  // The combined row under construction: the current left row's parts,
+  // then the right row's. Sinks read it through `state.slots`.
+  std::vector<const Row*> combined(state.width);
+  const JoinRowView view{combined.data(), state.slots.data()};
+  const auto set_left = [&](size_t li) {
+    std::copy_n(left.row(li), left_width, combined.begin());
+  };
+  const auto set_right = [&](size_t ri) {
+    std::copy_n(state.right.row(ri), state.right.width,
+                combined.begin() + static_cast<ptrdiff_t>(left_width));
   };
 
   if (join.join_kind == sql::JoinKind::kCross) {
     materialize_right();
     for (size_t li = 0; li < left.row_count(); ++li) {
-      const Row& l = left.row(li);
+      set_left(li);
       for (size_t ri = 0; ri < state.right.row_count(); ++ri) {
         GovTick();
-        sink(ConcatRows(l, state.right.row(ri)));
+        set_right(ri);
+        sink(combined.data());
       }
     }
     return;
   }
 
-  std::unordered_map<const sql::Expr*, int> cache;
-  const size_t right_width = state.right_columns.size();
+  ResolutionCache cache;
   const bool left_join = join.join_kind == sql::JoinKind::kLeft;
   const auto& equi = state.equi;
 
-  const auto emit_unmatched = [&](const Row& l) {
+  // Both read the current left row's parts already in `combined`.
+  const auto emit_unmatched = [&] {
     if (!left_join) return;
-    Row padded = l;
-    padded.resize(l.size() + right_width);  // default-constructed = NULL
-    sink(std::move(padded));
+    std::fill(combined.begin() + static_cast<ptrdiff_t>(left_width),
+              combined.end(), nullptr);  // NULL-padded right side
+    sink(combined.data());
   };
-  const auto match_residual = [&](const Row& combined) {
+  const auto match_residual = [&] {
     if (state.residual.empty()) return true;
-    EvalContext ec{&state.columns, &combined, nullptr, nullptr, &cache};
+    EvalContext ec;
+    ec.columns = &state.columns;
+    ec.join = view;
+    ec.resolution_cache = &cache;
     return ResidualHolds(state.residual, ec);
   };
 
@@ -1055,13 +1127,16 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
     const std::string& column =
         right_table.schema().columns()[pair.second].name;
     ++counters_.index_scans;
-    // Probed right-side pages release per left row (ConcatRows copied
-    // everything the sink needs).
+    // Probed right-side pages release per left row, so a probed row's view
+    // is only good until the next left row. A streaming sink is done with
+    // it by then; a retaining one gets a copy out of a spill-enabled
+    // table (other tables never release their rows mid-statement).
+    const bool copy_out = retain && right_table.spill_enabled();
     PinScope::Window window;
     for (size_t li = 0; li < left.row_count(); ++li) {
       window.Reset();
-      const Row& l = left.row(li);
-      const Value& key = l[pair.first];
+      set_left(li);
+      const Value& key = left.at(li, pair.first);
       bool matched = false;
       if (!key.is_null()) {
         probe_ids_.clear();
@@ -1073,19 +1148,26 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
           bool keys_ok = true;
           for (size_t i = 0; i < equi.size(); ++i) {
             if (static_cast<int>(i) == inl_pair) continue;
-            if (!JoinKeyEquals(l[equi[i].first], r[equi[i].second])) {
+            if (!JoinKeyEquals(left.at(li, equi[i].first),
+                               r[equi[i].second])) {
               keys_ok = false;
               break;
             }
           }
           if (!keys_ok) continue;
-          Row combined = ConcatRows(l, r);
-          if (!match_residual(combined)) continue;
-          sink(std::move(combined));
+          combined[left_width] = &r;
+          if (!match_residual()) continue;
+          if (copy_out) {
+            state.pinned_copies.push_back(r);
+            combined[left_width] = &state.pinned_copies.back();
+            GovCharge(RowFootprintBytes(r));
+            ++counters_.rows_materialized;
+          }
+          sink(combined.data());
           matched = true;
         }
       }
-      if (!matched) emit_unmatched(l);
+      if (!matched) emit_unmatched();
     }
     return;
   }
@@ -1095,112 +1177,152 @@ void Executor::RunJoin(JoinState& state, const OwnedRowSink& sink) {
                         algorithm == JoinAlgorithm::kNestedLoopOrHash);
 
   materialize_right();
-  const Relation& right = state.right;
+  const JoinInput& right = state.right;
 
   if (use_hash) {
     // Build on the right side, probe from the left. With the batch plane
     // enabled both phases run block-at-a-time: governance ticks once per
-    // RowBatch::kCapacity rows instead of per row, and the probe reuses one
-    // key buffer across a block instead of allocating per row. Match
-    // emission order is identical to the per-row loops.
-    const bool batched = db_.vectorized_enabled() && db_.fused_enabled();
+    // RowBatch::kCapacity rows instead of per row. Match emission order is
+    // identical to the per-row loops.
+    const bool batched = db_.vectorized_enabled() && state.fused;
+    const size_t right_count = right.row_count();
+    const size_t left_count = left.row_count();
+    const auto blocks = [&](size_t count, const auto& body) {
+      if (!batched) {
+        for (size_t i = 0; i < count; ++i) {
+          GovTick();
+          body(i);
+        }
+        return;
+      }
+      for (size_t start = 0; start < count; start += RowBatch::kCapacity) {
+        const size_t end = std::min(count, start + RowBatch::kCapacity);
+        GovTickRows(static_cast<int64_t>(end - start));
+        for (size_t i = start; i < end; ++i) body(i);
+      }
+    };
+
+    // Generic build: equi-key Row -> build rows in build order.
     std::unordered_map<Row, std::vector<size_t>, KeyHash, KeyEq> built;
-    built.reserve(right.row_count());
-    const auto build_one = [&](size_t i) {
-      const Row& r = right.row(i);
+    const auto build_generic = [&](size_t i) {
       Row key;
       key.reserve(equi.size());
-      bool has_null = false;
       for (const auto& pair : equi) {
-        const Value& v = r[pair.second];
-        if (v.is_null()) {
-          has_null = true;
-          break;
-        }
+        const Value& v = right.at(i, pair.second);
+        if (v.is_null()) return;  // NULL keys never match
         key.push_back(v);
       }
-      if (!has_null) {
-        GovCharge(RowFootprintBytes(key) + static_cast<int64_t>(sizeof(size_t)));
-        built[std::move(key)].push_back(i);
-      }
+      GovCharge(RowFootprintBytes(key) + static_cast<int64_t>(sizeof(size_t)));
+      built[std::move(key)].push_back(i);
+    };
+    // Fused pipeline, one INT64 key: key -> first build row, chained
+    // through `next_row` in build order. Built back to front so that
+    // head insertion leaves every chain in ascending (build) order.
+    bool int_keys = state.fused && equi.size() == 1 &&
+                    right_count <= IntKeyTable::kMaxPayload;
+    IntKeyTable int_index;
+    std::vector<uint32_t> next_row;
+    const auto migrate = [&] {
+      // Any other key type takes the generic table, keyed exactly as if
+      // it had been used from the start.
+      int_keys = false;
+      ++counters_.key_fallbacks;
+      built.reserve(right_count);
+      for (size_t i = 0; i < right_count; ++i) build_generic(i);
+    };
+    if (int_keys) {
+      ++counters_.int_key_tables;
+      next_row.assign(right_count, IntKeyTable::kVacant);
+      GovCharge(static_cast<int64_t>(right_count * sizeof(uint32_t)));
+      const size_t column = static_cast<size_t>(equi[0].second);
+      blocks(right_count, [&](size_t k) {
+        if (!int_keys) return;
+        const size_t i = right_count - 1 - k;
+        const Value& v = right.at(i, column);
+        if (v.is_null()) return;
+        if (!v.is_int()) {
+          migrate();
+          return;
+        }
+        const int64_t before = int_index.FootprintBytes();
+        const auto [head, inserted] = int_index.FindOrInsert(
+            v.int_unchecked(), static_cast<uint32_t>(i));
+        if (!inserted) {
+          next_row[i] = *head;
+          *head = static_cast<uint32_t>(i);
+        }
+        GovCharge(int_index.FootprintBytes() - before);  // growth only
+      });
+    } else {
+      built.reserve(right_count);
+      blocks(right_count, build_generic);
+    }
+
+    const auto try_emit = [&](size_t ri) {
+      set_right(ri);
+      if (!match_residual()) return false;
+      sink(combined.data());
+      return true;
     };
     Row probe_key;
     probe_key.reserve(equi.size());
-    const auto probe_one = [&](size_t li) {
-      const Row& l = left.row(li);
-      probe_key.clear();
-      bool has_null = false;
-      for (const auto& pair : equi) {
-        const Value& v = l[pair.first];
-        if (v.is_null()) {
-          has_null = true;
-          break;
-        }
-        probe_key.push_back(v);
-      }
+    blocks(left_count, [&](size_t li) {
+      set_left(li);
       bool matched = false;
-      if (!has_null) {
-        const auto it = built.find(probe_key);
-        if (it != built.end()) {
-          for (const size_t i : it->second) {
-            Row combined = ConcatRows(l, right.row(i));
-            if (!match_residual(combined)) continue;
-            sink(std::move(combined));
-            matched = true;
+      if (int_keys) {
+        const Value& v = left.at(li, equi[0].first);
+        if (!v.is_null() && !v.is_int()) migrate();
+        if (int_keys && !v.is_null()) {
+          for (uint32_t ri = int_index.Find(v.int_unchecked());
+               ri != IntKeyTable::kVacant; ri = next_row[ri]) {
+            matched |= try_emit(ri);
           }
         }
       }
-      if (!matched) emit_unmatched(l);
-    };
-    if (batched) {
-      const size_t right_count = right.row_count();
-      for (size_t start = 0; start < right_count;
-           start += RowBatch::kCapacity) {
-        const size_t end = std::min(right_count, start + RowBatch::kCapacity);
-        GovTickRows(static_cast<int64_t>(end - start));
-        for (size_t i = start; i < end; ++i) build_one(i);
+      if (!int_keys) {
+        probe_key.clear();
+        bool has_null = false;
+        for (const auto& pair : equi) {
+          const Value& v = left.at(li, pair.first);
+          if (v.is_null()) {
+            has_null = true;
+            break;
+          }
+          probe_key.push_back(v);
+        }
+        if (!has_null) {
+          const auto it = built.find(probe_key);
+          if (it != built.end()) {
+            for (const size_t ri : it->second) matched |= try_emit(ri);
+          }
+        }
       }
-      const size_t left_count = left.row_count();
-      for (size_t start = 0; start < left_count;
-           start += RowBatch::kCapacity) {
-        const size_t end = std::min(left_count, start + RowBatch::kCapacity);
-        GovTickRows(static_cast<int64_t>(end - start));
-        for (size_t li = start; li < end; ++li) probe_one(li);
-      }
-    } else {
-      for (size_t i = 0; i < right.row_count(); ++i) {
-        GovTick();
-        build_one(i);
-      }
-      for (size_t li = 0; li < left.row_count(); ++li) {
-        GovTick();
-        probe_one(li);
-      }
-    }
+      if (!matched) emit_unmatched();
+    });
     return;
   }
 
   // Plain nested loop (MySQL 5.7 with no usable index).
   for (size_t li = 0; li < left.row_count(); ++li) {
-    const Row& l = left.row(li);
+    set_left(li);
     bool matched = false;
     for (size_t ri = 0; ri < right.row_count(); ++ri) {
       GovTick();
-      const Row& r = right.row(ri);
       bool keys_ok = true;
       for (const auto& pair : equi) {
-        if (!JoinKeyEquals(l[pair.first], r[pair.second])) {
+        if (!JoinKeyEquals(left.at(li, pair.first),
+                           right.at(ri, pair.second))) {
           keys_ok = false;
           break;
         }
       }
       if (!keys_ok) continue;
-      Row combined = ConcatRows(l, r);
-      if (!match_residual(combined)) continue;
-      sink(std::move(combined));
+      set_right(ri);
+      if (!match_residual()) continue;
+      sink(combined.data());
       matched = true;
     }
-    if (!matched) emit_unmatched(l);
+    if (!matched) emit_unmatched();
   }
 }
 
@@ -1237,7 +1359,7 @@ bool Executor::TryCollectTreeBindings(const sql::TableRef& ref,
 
 Relation Executor::ProjectCore(const sql::SelectCore& core,
                                const std::vector<ColumnBinding>& input_columns,
-                               const RowSource& input,
+                               const InputSource& input,
                                const std::vector<sql::OrderItem>* order_by,
                                std::vector<Row>* sort_keys) {
   Relation out;
@@ -1283,13 +1405,13 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
         CombinedOrderBindings(out.columns.size(), input_columns.size());
   }
 
-  std::unordered_map<const sql::Expr*, int> cache;
-  std::unordered_map<const sql::Expr*, int> order_cache;
-  const auto consume = [&](const Row& row) {
+  ResolutionCache cache;
+  ResolutionCache order_cache;
+  const auto consume = [&](const RowRef& row) {
     GovTick();
     Row projected;
     projected.reserve(slots.size());
-    EvalContext ec{&input_columns, &row, nullptr, nullptr, &cache};
+    const EvalContext ec = InputContext(input_columns, row, &cache);
     for (const ProjectionSlot& slot : slots) {
       if (slot.expr == nullptr) {
         projected.push_back(row[slot.input_index]);
@@ -1298,9 +1420,9 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
       }
     }
     if (order_by != nullptr) {
-      Row combined = ConcatRows(projected, row);
-      EvalContext oc{&order_bindings, &combined, nullptr, nullptr,
-                     &order_cache};
+      Row combined = ConcatRows(projected, row, input_columns.size());
+      const EvalContext oc =
+          InputContext(order_bindings, combined, &order_cache);
       Row key;
       key.reserve(order_exprs.size());
       for (const auto& expr : order_exprs) {
@@ -1317,9 +1439,9 @@ Relation Executor::ProjectCore(const sql::SelectCore& core,
 
 Relation Executor::AggregateCore(const sql::SelectCore& core,
                                  const std::vector<ColumnBinding>& input_columns,
-                                 const RowSource& input,
+                                 const InputSource& input,
                                  const std::vector<sql::OrderItem>* order_by,
-                                 std::vector<Row>* sort_keys) {
+                                 std::vector<Row>* sort_keys, bool fused) {
   // Aggregate sub-expressions across the SELECT list, HAVING, and ORDER BY.
   std::vector<const sql::Expr*> agg_exprs;
   for (const auto& item : core.items) CollectAggregates(*item.expr, agg_exprs);
@@ -1341,9 +1463,11 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
     std::vector<Accumulator> accumulators;
   };
 
-  const auto new_group = [&](const Row& row) {
+  // The representative is the one copy a group makes of its input: taken
+  // when the group opens, never per row.
+  const auto new_group = [&](const RowRef& row) {
     Group group;
-    group.representative = row;
+    group.representative = row.Materialize(input_columns.size());
     group.accumulators.reserve(agg_exprs.size());
     for (const sql::Expr* agg : agg_exprs) {
       group.accumulators.emplace_back(agg->agg_func, agg->agg_distinct);
@@ -1351,9 +1475,9 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
     return group;
   };
 
-  std::unordered_map<const sql::Expr*, int> cache;
-  const auto feed = [&](Group& group, const Row& row) {
-    EvalContext ec{&input_columns, &row, nullptr, nullptr, &cache};
+  ResolutionCache cache;
+  const auto feed = [&](Group& group, const RowRef& row) {
+    const EvalContext ec = InputContext(input_columns, row, &cache);
     for (size_t i = 0; i < agg_exprs.size(); ++i) {
       const sql::Expr* agg = agg_exprs[i];
       if (agg->agg_star) {
@@ -1374,32 +1498,65 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
       db_.profile().agg_algorithm == AggAlgorithm::kHash;
   std::unordered_map<Row, size_t, KeyHash, KeyEq> hash_index;
   std::map<Row, size_t, KeyLess> sort_index;
-  const auto consume = [&](const Row& row) {
+  // Fused hash grouping on one expression: INT64 key -> group ordinal in a
+  // flat table. The first key of any other type (NULL included) migrates
+  // the groups opened so far into the generic table, in opening order.
+  bool int_keys = fused && hash_grouping && core.group_by.size() == 1;
+  if (int_keys) ++counters_.int_key_tables;
+  IntKeyTable int_index;
+  const auto migrate = [&] {
+    int_keys = false;
+    ++counters_.key_fallbacks;
+    std::vector<int64_t> keys(int_index.size());
+    int_index.ForEach(
+        [&keys](int64_t key, uint32_t ordinal) { keys[ordinal] = key; });
+    hash_index.reserve(keys.size());
+    for (size_t g = 0; g < keys.size(); ++g) {
+      Row key{Value(keys[g])};
+      GovCharge(RowFootprintBytes(key));
+      hash_index.try_emplace(std::move(key), g);
+    }
+  };
+  const auto consume = [&](const RowRef& row) {
     GovTick();
     if (core.group_by.empty()) {
       if (groups.empty()) groups.push_back(new_group(row));
       feed(groups[0], row);
       return;
     }
-    Row key;
-    key.reserve(core.group_by.size());
-    EvalContext ec{&input_columns, &row, nullptr, nullptr, &cache};
-    for (const auto& expr : core.group_by) {
-      key.push_back(Evaluate(*expr, ec));
+    const EvalContext ec = InputContext(input_columns, row, &cache);
+    Value first = Evaluate(*core.group_by[0], ec);
+    size_t slot = 0;
+    int64_t key_bytes = 0;
+    if (int_keys && first.is_int() &&
+        groups.size() < IntKeyTable::kMaxPayload) {
+      const int64_t before = int_index.FootprintBytes();
+      slot = *int_index
+                  .FindOrInsert(first.int_unchecked(),
+                                static_cast<uint32_t>(groups.size()))
+                  .first;
+      key_bytes = int_index.FootprintBytes() - before;
+    } else {
+      if (int_keys) migrate();
+      Row key;
+      key.reserve(core.group_by.size());
+      key.push_back(std::move(first));
+      for (size_t k = 1; k < core.group_by.size(); ++k) {
+        key.push_back(Evaluate(*core.group_by[k], ec));
+      }
+      key_bytes = RowFootprintBytes(key);
+      slot = hash_grouping
+                 ? hash_index.try_emplace(std::move(key), groups.size())
+                       .first->second
+                 : sort_index.try_emplace(std::move(key), groups.size())
+                       .first->second;
     }
-    const int64_t key_bytes = RowFootprintBytes(key);
-    const size_t slot =
-        hash_grouping
-            ? hash_index.try_emplace(std::move(key), groups.size())
-                  .first->second
-            : sort_index.try_emplace(std::move(key), groups.size())
-                  .first->second;
     if (slot == groups.size()) {
       // A new group holds its key, a representative row copy, and one
       // accumulator per aggregate expression.
-      GovCharge(key_bytes + RowFootprintBytes(row) +
-                static_cast<int64_t>(agg_exprs.size() * sizeof(Accumulator)));
       groups.push_back(new_group(row));
+      GovCharge(key_bytes + RowFootprintBytes(groups.back().representative) +
+                static_cast<int64_t>(agg_exprs.size() * sizeof(Accumulator)));
     }
     feed(groups[slot], row);
   };
@@ -1428,16 +1585,18 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
         CombinedOrderBindings(out.columns.size(), input_columns.size());
   }
 
-  std::unordered_map<const sql::Expr*, int> project_cache;
-  std::unordered_map<const sql::Expr*, int> order_cache;
+  ResolutionCache project_cache;
+  ResolutionCache order_cache;
   for (const Group& group : groups) {
     std::vector<Value> agg_values;
     agg_values.reserve(group.accumulators.size());
     for (const Accumulator& acc : group.accumulators) {
       agg_values.push_back(acc.Result());
     }
-    EvalContext ec{&input_columns, &group.representative, &agg_exprs,
-                   &agg_values, &project_cache};
+    EvalContext ec =
+        InputContext(input_columns, group.representative, &project_cache);
+    ec.agg_exprs = &agg_exprs;
+    ec.agg_values = &agg_values;
     if (core.having && !Truthy(Evaluate(*core.having, ec))) continue;
     Row projected;
     projected.reserve(core.items.size());
@@ -1445,9 +1604,11 @@ Relation Executor::AggregateCore(const sql::SelectCore& core,
       projected.push_back(Evaluate(*item.expr, ec));
     }
     if (order_by != nullptr) {
-      Row combined = ConcatRows(projected, group.representative);
-      EvalContext oc{&order_bindings, &combined, &agg_exprs, &agg_values,
-                     &order_cache};
+      Row combined = ConcatRows(projected, group.representative,
+                                group.representative.size());
+      EvalContext oc = InputContext(order_bindings, combined, &order_cache);
+      oc.agg_exprs = &agg_exprs;
+      oc.agg_values = &agg_values;
       Row key;
       key.reserve(order_exprs.size());
       for (const auto& expr : order_exprs) {
@@ -1595,7 +1756,7 @@ bool Executor::TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
 
     Row representative;
     bool have_representative = false;
-    std::unordered_map<const sql::Expr*, int> agg_cache;
+    ResolutionCache agg_cache;
     const auto consume = [&](RowBatch& batch) {
       if (batch.selected == 0) return;
       if (!have_representative) {
@@ -1608,7 +1769,7 @@ bool Executor::TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
         // per-row feed exactly.
         for (uint32_t i = 0; i < batch.selected; ++i) {
           const Row& row = *batch.rows[batch.selection[i]];
-          EvalContext ec{&columns, &row, nullptr, nullptr, &agg_cache};
+          const EvalContext ec = InputContext(columns, row, &agg_cache);
           for (size_t a = 0; a < agg_exprs.size(); ++a) {
             if (specs[a].mode != AggSpec::Mode::kScalar) continue;
             if (agg_exprs[a]->agg_star) {
@@ -1696,19 +1857,22 @@ bool Executor::TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
     for (const Accumulator& acc : accumulators) {
       agg_values.push_back(acc.Result());
     }
-    std::unordered_map<const sql::Expr*, int> project_cache;
-    std::unordered_map<const sql::Expr*, int> order_cache;
-    EvalContext ec{&columns, &representative, &agg_exprs, &agg_values,
-                   &project_cache};
+    ResolutionCache project_cache;
+    ResolutionCache order_cache;
+    EvalContext ec = InputContext(columns, representative, &project_cache);
+    ec.agg_exprs = &agg_exprs;
+    ec.agg_values = &agg_values;
     Row projected;
     projected.reserve(core.items.size());
     for (const auto& item : core.items) {
       projected.push_back(Evaluate(*item.expr, ec));
     }
     if (order_by != nullptr) {
-      Row combined = ConcatRows(projected, representative);
-      EvalContext oc{&order_bindings, &combined, &agg_exprs, &agg_values,
-                     &order_cache};
+      Row combined =
+          ConcatRows(projected, representative, representative.size());
+      EvalContext oc = InputContext(order_bindings, combined, &order_cache);
+      oc.agg_exprs = &agg_exprs;
+      oc.agg_values = &agg_values;
       Row key;
       key.reserve(order_exprs.size());
       for (const auto& expr : order_exprs) {
@@ -1766,13 +1930,13 @@ bool Executor::TryVectorizedCore(const sql::SelectCore& core, ExecContext& ctx,
   // per row, so they must not follow batch-wise scalar conjuncts.
   if (conjunct_fallbacks > 0 && expr_slots > 0) return false;
 
-  std::unordered_map<const sql::Expr*, int> project_cache;
+  ResolutionCache project_cache;
   const auto consume = [&](RowBatch& batch) {
     for (uint32_t i = 0; i < batch.selected; ++i) {
       const Row& row = *batch.rows[batch.selection[i]];
       Row projected;
       projected.reserve(slots.size());
-      EvalContext ec{&columns, &row, nullptr, nullptr, &project_cache};
+      const EvalContext ec = InputContext(columns, row, &project_cache);
       for (const ProjectionSlot& slot : slots) {
         if (slot.expr == nullptr) {
           projected.push_back(row[slot.input_index]);
@@ -1819,11 +1983,13 @@ bool Executor::TryFusedCore(const sql::SelectCore& core, ExecContext& ctx,
     std::string probe_column;
     const int probe = ResolveProbe(path, conjuncts, *table, core.from->alias,
                                    &probe_column);
-    const auto source = [&](const RowSink& sink) {
-      ScanPush(*table, columns, conjuncts, probe, probe_column, sink);
+    const auto source = [&](const InputSink& sink) {
+      const auto scanned = [&sink](const Row& row) { sink(row); };
+      ScanPush(*table, columns, conjuncts, probe, probe_column, scanned);
     };
     *out = aggregate_mode
-               ? AggregateCore(core, columns, source, order_by, sort_keys)
+               ? AggregateCore(core, columns, source, order_by, sort_keys,
+                               /*fused=*/true)
                : ProjectCore(core, columns, source, order_by, sort_keys);
     ++counters_.fused_cores;
     return true;
@@ -1849,17 +2015,20 @@ bool Executor::TryFusedCore(const sql::SelectCore& core, ExecContext& ctx,
       residual = conjuncts;
     }
 
-    JoinState state =
-        PrepareJoin(*core.from, ctx, pending.empty() ? nullptr : &pending);
+    JoinState state = PrepareJoin(*core.from, ctx,
+                                  pending.empty() ? nullptr : &pending,
+                                  /*fused=*/true);
     // Conjuncts no single input claimed filter the combined rows.
     residual.insert(residual.end(), pending.begin(), pending.end());
 
-    std::unordered_map<const sql::Expr*, int> where_cache;
-    const auto source = [&](const RowSink& sink) {
-      const auto joined = [&](Row&& row) {
+    ResolutionCache where_cache;
+    const auto source = [&](const InputSink& sink) {
+      // Joined rows flow on as views; projection and the group
+      // representative copy what they keep.
+      const auto joined = [&](const Row* const* parts) {
+        const RowRef row(JoinRowView{parts, state.slots.data()});
         if (!residual.empty()) {
-          EvalContext ec{&state.columns, &row, nullptr, nullptr,
-                         &where_cache};
+          const EvalContext ec = InputContext(state.columns, row, &where_cache);
           bool ok = true;
           for (const sql::Expr* conjunct : residual) {
             if (!Truthy(Evaluate(*conjunct, ec))) ok = false;
@@ -1868,11 +2037,11 @@ bool Executor::TryFusedCore(const sql::SelectCore& core, ExecContext& ctx,
         }
         sink(row);
       };
-      RunJoin(state, joined);
+      RunJoin(state, /*retain=*/false, joined);
     };
     *out = aggregate_mode
                ? AggregateCore(core, state.columns, source, order_by,
-                               sort_keys)
+                               sort_keys, /*fused=*/true)
                : ProjectCore(core, state.columns, source, order_by,
                              sort_keys);
     ++counters_.fused_cores;
@@ -1983,6 +2152,7 @@ Relation Executor::EvalCoreReference(
             GovCharge(RowFootprintBytes(input.rows.back()));
           }
           rows_examined_ += input.rows.size();
+          counters_.rows_materialized += input.rows.size();
           scanned_via_index = true;
           break;
         }
@@ -1998,14 +2168,14 @@ Relation Executor::EvalCoreReference(
   }
 
   if (core.where) {
-    std::unordered_map<const sql::Expr*, int> cache;
+    ResolutionCache cache;
     if (input.borrowed) {
       // Filtering a borrowed relation just drops views, no row copies.
       std::vector<const Row*> kept;
       kept.reserve(input.views.size());
       for (const Row* view : input.views) {
         GovTick();
-        EvalContext ec{&input.columns, view, nullptr, nullptr, &cache};
+        const EvalContext ec = InputContext(input.columns, *view, &cache);
         if (Truthy(Evaluate(*core.where, ec))) kept.push_back(view);
       }
       input.views = std::move(kept);
@@ -2014,18 +2184,19 @@ Relation Executor::EvalCoreReference(
       kept.reserve(input.rows.size());
       for (Row& row : input.rows) {
         GovTick();
-        EvalContext ec{&input.columns, &row, nullptr, nullptr, &cache};
+        const EvalContext ec = InputContext(input.columns, row, &cache);
         if (Truthy(Evaluate(*core.where, ec))) kept.push_back(std::move(row));
       }
       input.rows = std::move(kept);
     }
   }
 
-  const auto source = [&input](const RowSink& sink) {
+  const auto source = [&input](const InputSink& sink) {
     for (size_t i = 0; i < input.row_count(); ++i) sink(input.row(i));
   };
   return aggregate_mode
-             ? AggregateCore(core, input.columns, source, order_by, sort_keys)
+             ? AggregateCore(core, input.columns, source, order_by, sort_keys,
+                             /*fused=*/false)
              : ProjectCore(core, input.columns, source, order_by, sort_keys);
 }
 
@@ -2072,12 +2243,12 @@ ResultSet Executor::EvalSelect(const sql::SelectStmt& stmt, ExecContext& ctx,
       }
       const auto bindings =
           CombinedOrderBindings(combined.columns.size(), 0);
-      std::unordered_map<const sql::Expr*, int> cache;
+      ResolutionCache cache;
       sort_keys.clear();
       sort_keys.reserve(combined.rows.size());
       for (const Row& row : combined.rows) {
         GovTick();
-        EvalContext ec{&bindings, &row, nullptr, nullptr, &cache};
+        const EvalContext ec = InputContext(bindings, row, &cache);
         Row key;
         key.reserve(order_exprs.size());
         for (const auto& expr : order_exprs) {
@@ -2338,7 +2509,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
   }
 
   std::vector<std::pair<size_t, Row>> pending;  // (row id, new row)
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionCache cache;
 
   if (stmt.update_from) {
     // UPDATE ... FROM <source>: match each target row against the source,
@@ -2384,16 +2555,67 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
     // (UPDATE t ... FROM t AS s). All matching reads finish before the
     // pending writes apply, and Table::Update assigns slots in place, so
     // the views stay valid for the whole match phase.
+    //
+    // Source rows by key, newest first: the order the generic multimap's
+    // equal_range visits equal keys, so "first match wins" picks the same
+    // source row on both tables. The fused pipeline keys INT64 values in
+    // a flat table (`newer_to_older` chains each key's rows); the first
+    // key of another type migrates to the generic multimap.
     std::unordered_multimap<Value, size_t, ValueKeyHash, ValueKeyEq> by_key;
-    if (target_key >= 0) {
+    IntKeyTable int_by_key;
+    std::vector<uint32_t> newer_to_older;
+    bool int_keys = false;
+    const auto migrate = [&](size_t built_rows) {
+      int_keys = false;
+      ++counters_.key_fallbacks;
       by_key.reserve(source.row_count());
-      for (size_t i = 0; i < source.row_count(); ++i) {
-        GovTick();
+      for (size_t i = 0; i < built_rows; ++i) {
         const Value& key = source.row(i)[source_key];
         if (!key.is_null()) by_key.emplace(key, i);
       }
+    };
+    if (target_key >= 0) {
+      const size_t source_rows = source.row_count();
+      int_keys = db_.fused_enabled() &&
+                 source_rows <= IntKeyTable::kMaxPayload;
+      if (int_keys) {
+        ++counters_.int_key_tables;
+        newer_to_older.assign(source_rows, IntKeyTable::kVacant);
+        GovCharge(static_cast<int64_t>(source_rows * sizeof(uint32_t)));
+      } else {
+        by_key.reserve(source_rows);
+      }
+      for (size_t i = 0; i < source_rows; ++i) {
+        GovTick();
+        const Value& key = source.row(i)[source_key];
+        if (key.is_null()) continue;
+        if (int_keys && !key.is_int()) migrate(i);
+        if (!int_keys) {
+          by_key.emplace(key, i);
+          continue;
+        }
+        const int64_t before = int_by_key.FootprintBytes();
+        const auto [newest, inserted] = int_by_key.FindOrInsert(
+            key.int_unchecked(), static_cast<uint32_t>(i));
+        if (!inserted) {
+          newer_to_older[i] = *newest;
+          *newest = static_cast<uint32_t>(i);
+        }
+        GovCharge(int_by_key.FootprintBytes() - before);  // growth only
+      }
     }
 
+    // Residual and SET expressions read the (target, source) pair through
+    // a two-part join view; `updated` is reused across target rows.
+    std::vector<ColumnSlot> slots;
+    slots.reserve(combined.size());
+    for (size_t c = 0; c < target_columns.size(); ++c) {
+      slots.push_back({0, static_cast<uint32_t>(c)});
+    }
+    for (size_t c = 0; c < source.columns.size(); ++c) {
+      slots.push_back({1, static_cast<uint32_t>(c)});
+    }
+    Row updated;
     PinScope::Window window;
     for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
       if ((row_id & kPageRowMask) == 0) window.Reset();
@@ -2403,25 +2625,21 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       const Row& current = table->At(row_id);
 
       const auto try_match = [&](const Row& source_row) -> bool {
-        Row combined_row = ConcatRows(current, source_row);
-        EvalContext ec{&combined, &combined_row, nullptr, nullptr, &cache};
+        const Row* parts[2] = {&current, &source_row};
+        EvalContext ec;
+        ec.columns = &combined;
+        ec.join = JoinRowView{parts, slots.data()};
+        ec.resolution_cache = &cache;
         if (!ResidualHolds(residual, ec)) return false;
-        Row updated = current;
+        updated = current;
         for (size_t i = 0; i < stmt.set_items.size(); ++i) {
           updated[set_positions[i]] =
               Evaluate(*stmt.set_items[i].second, ec);
         }
         schema.CoerceRow(updated);
-        bool changed = false;
-        for (size_t i = 0; i < updated.size(); ++i) {
-          if (!Value::KeyEquals(updated[i], current[i])) {
-            changed = true;
-            break;
-          }
-        }
-        if (changed) {
+        if (RowChanged(updated, current)) {
           GovCharge(RowFootprintBytes(updated));
-          pending.emplace_back(row_id, std::move(updated));
+          pending.emplace_back(row_id, updated);
         }
         return true;
       };
@@ -2429,6 +2647,14 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       if (target_key >= 0) {
         const Value& key = current[target_key];
         if (key.is_null()) continue;
+        if (int_keys && !key.is_int()) migrate(source.row_count());
+        if (int_keys) {
+          for (uint32_t i = int_by_key.Find(key.int_unchecked());
+               i != IntKeyTable::kVacant; i = newer_to_older[i]) {
+            if (try_match(source.row(i))) break;  // first match wins
+          }
+          continue;
+        }
         const auto [begin, end] = by_key.equal_range(key);
         for (auto it = begin; it != end; ++it) {
           if (try_match(source.row(it->second))) break;  // first match wins
@@ -2440,6 +2666,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       }
     }
   } else {
+    Row updated;
     PinScope::Window window;
     for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
       if ((row_id & kPageRowMask) == 0) window.Reset();
@@ -2447,23 +2674,16 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       ++rows_examined_;
       GovTick();
       const Row& current = table->At(row_id);
-      EvalContext ec{&target_columns, &current, nullptr, nullptr, &cache};
+      const EvalContext ec = InputContext(target_columns, current, &cache);
       if (stmt.where && !Truthy(Evaluate(*stmt.where, ec))) continue;
-      Row updated = current;
+      updated = current;
       for (size_t i = 0; i < stmt.set_items.size(); ++i) {
         updated[set_positions[i]] = Evaluate(*stmt.set_items[i].second, ec);
       }
       schema.CoerceRow(updated);
-      bool changed = false;
-      for (size_t i = 0; i < updated.size(); ++i) {
-        if (!Value::KeyEquals(updated[i], current[i])) {
-          changed = true;
-          break;
-        }
-      }
-      if (changed) {
+      if (RowChanged(updated, current)) {
         GovCharge(RowFootprintBytes(updated));
-        pending.emplace_back(row_id, std::move(updated));
+        pending.emplace_back(row_id, updated);
       }
     }
   }
@@ -2488,7 +2708,7 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
     columns.push_back({alias, column.name});
   }
   std::vector<size_t> doomed;
-  std::unordered_map<const sql::Expr*, int> cache;
+  ResolutionCache cache;
   PinScope::Window window;
   for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
     if ((row_id & kPageRowMask) == 0) window.Reset();
@@ -2497,7 +2717,7 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
     GovTick();
     if (stmt.where) {
       const Row& row = table->At(row_id);
-      EvalContext ec{&columns, &row, nullptr, nullptr, &cache};
+      const EvalContext ec = InputContext(columns, row, &cache);
       if (!Truthy(Evaluate(*stmt.where, ec))) continue;
     }
     doomed.push_back(row_id);
@@ -2619,6 +2839,13 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
   if (counters_.scalar_fallbacks != 0) {
     SQLOOP_COUNT(recorder_, "minidb.scalar_fallbacks",
                  counters_.scalar_fallbacks);
+  }
+  if (counters_.int_key_tables != 0) {
+    SQLOOP_COUNT(recorder_, "minidb.int_key_tables",
+                 counters_.int_key_tables);
+  }
+  if (counters_.key_fallbacks != 0) {
+    SQLOOP_COUNT(recorder_, "minidb.key_fallbacks", counters_.key_fallbacks);
   }
   // Buffer-pool deltas: the pool's counters are pool-lifetime, so each
   // statement flushes only what it moved. Unbounded pools never pin or

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,8 +30,11 @@ namespace sqloop::minidb {
 // Push-pipeline callback types. Sinks and sources are lambdas passed down
 // the call stack (FunctionRef is non-owning).
 using RowSink = FunctionRef<void(const Row&)>;   // consumes borrowed rows
-using OwnedRowSink = FunctionRef<void(Row&&)>;   // may take ownership
-using RowSource = FunctionRef<void(const RowSink&)>;  // pushes rows once
+using InputSink = FunctionRef<void(const RowRef&)>;  // flat or join rows
+using InputSource = FunctionRef<void(const InputSink&)>;  // pushes rows once
+// Consumes one join row as its parts (one base-row pointer per join input,
+// null = NULL-padded); the parts array is only valid during the call.
+using JoinSink = FunctionRef<void(const Row* const* parts)>;
 
 /// Per-connection state: an open transaction's table backups. minidb
 /// transactions give statement-level isolation with all-or-nothing
@@ -105,6 +110,9 @@ class Executor {
     size_t vectorized_cores = 0;   // SELECT cores run on the batch plane
     size_t scalar_fallbacks = 0;   // conjuncts/aggregates/projection slots
                                    // evaluated per-lane instead of kernelized
+    size_t int_key_tables = 0;     // INT64 flat key tables started (hash
+                                   // join build, GROUP BY, UPDATE merge)
+    size_t key_fallbacks = 0;      // of those, migrated to the generic table
   };
   const EngineCounters& last_engine_counters() const noexcept {
     return counters_;
@@ -171,20 +179,52 @@ class Executor {
     std::unordered_map<std::string, const Relation*> cte_bindings;
   };
 
+  struct JoinState;
+
+  /// One join input as rows of base-row pointers, `width` parts per row.
+  /// A leaf input (scan, CTE, view, subquery, or a join the reference
+  /// pipeline materialized) has width 1 and points into `rel`; a nested
+  /// join evaluated by the fused pipeline keeps its output as views into
+  /// the relations its own state (`nested`) owns, so nothing is copied.
+  struct JoinInput {
+    Relation rel;                         // leaf rows (owned or borrowed)
+    std::unique_ptr<JoinState> nested;    // owner of a nested join's inputs
+    std::vector<const Row*> parts;        // row i: parts[i * width, +width)
+    size_t width = 1;
+    std::vector<ColumnSlot> slots;        // column -> (part, offset)
+
+    size_t row_count() const noexcept { return parts.size() / width; }
+    const Row* const* row(size_t i) const noexcept {
+      return parts.data() + i * width;
+    }
+    const Value& at(size_t i, size_t column) const noexcept {
+      return JoinRowView{row(i), slots.data()}[column];
+    }
+  };
+
   /// Everything PrepareJoin resolves before a join runs: evaluated (or
   /// schema-only, for index-nested-loop candidates) inputs, the combined
-  /// output bindings, and the classified ON condition. RunJoin streams the
-  /// combined rows from this state into a sink.
+  /// output bindings and their slots, and the classified ON condition.
+  /// RunJoin streams the combined rows from this state into a sink as
+  /// views; the state owns everything those views point into.
   struct JoinState {
     const sql::TableRef* join = nullptr;
-    Relation left;
+    // Fused pipeline: nested joins stay views and single-INT64 keys use
+    // flat tables. Reference pipeline: materialized inputs, generic keys.
+    bool fused = false;
+    JoinInput left;
     std::shared_ptr<Table> right_table;  // set when right is a base table
-    Relation right;                      // evaluated right (when needed)
+    JoinInput right;                     // evaluated right (when needed)
     bool right_materialized = false;
     std::vector<ColumnBinding> right_columns;
     std::vector<ColumnBinding> columns;  // combined output bindings
+    std::vector<ColumnSlot> slots;       // combined column -> (part, offset)
+    size_t width = 1;                    // parts per combined row
     std::vector<std::pair<int, int>> equi;  // (left index, right index)
     std::vector<const sql::Expr*> residual;  // non-equi ON conjuncts
+    // Index-nested-loop right rows copied out of a spill-enabled table for
+    // a retained result (a view must never outlive its page pin).
+    std::deque<Row> pinned_copies;
   };
 
   // --- SELECT pipeline -------------------------------------------------
@@ -246,19 +286,29 @@ class Executor {
                    const std::vector<uint8_t>& compiled, int probe_conjunct,
                    const std::string& probe_column, const BatchSink& sink);
   Relation EvalTableRef(const sql::TableRef& ref, ExecContext& ctx);
+  /// Materializing join: the combined rows copied into an owned relation
+  /// (the reference pipeline, UPDATE ... FROM a join, and FROM trees the
+  /// fused path declines).
   Relation EvalJoin(const sql::TableRef& join, ExecContext& ctx);
   /// Evaluates one join input. When `pending` is non-null, WHERE conjuncts
   /// that resolve entirely against a base-table input are removed from it
-  /// and evaluated during that input's scan (predicate pushdown); nested
-  /// join inputs recurse and then materialize.
-  Relation EvalJoinInput(const sql::TableRef& ref, ExecContext& ctx,
-                         std::vector<const sql::Expr*>* pending);
+  /// and evaluated during that input's scan (predicate pushdown). On the
+  /// fused pipeline a nested join input recurses and keeps its output as
+  /// views; the reference pipeline materializes it.
+  JoinInput EvalJoinInput(const sql::TableRef& ref, ExecContext& ctx,
+                          std::vector<const sql::Expr*>* pending, bool fused);
+  /// Wraps a leaf relation as a width-1 join input (charging the pointer
+  /// list when the rows are owned; borrowed views move over as they are).
+  JoinInput LeafInput(Relation rel);
   JoinState PrepareJoin(const sql::TableRef& join, ExecContext& ctx,
-                        std::vector<const sql::Expr*>* pending);
-  /// Streams the join's combined rows into `sink` (ownership passes to the
-  /// sink). Strategy per engine profile, as before: index nested loop,
-  /// hash, or plain nested loop, with LEFT JOIN NULL-padding.
-  void RunJoin(JoinState& state, const OwnedRowSink& sink);
+                        std::vector<const sql::Expr*>* pending, bool fused);
+  /// Streams the join's combined rows into `sink` as parts arrays (read
+  /// them through `state.slots`). Strategy per engine profile, as before:
+  /// index nested loop, hash, or plain nested loop, with LEFT JOIN
+  /// NULL-padding. `retain` declares that the sink keeps the part pointers
+  /// past the call (a nested join's view list), which makes index-nested-
+  /// loop rows from spill-enabled tables copy out of their pinned page.
+  void RunJoin(JoinState& state, bool retain, const JoinSink& sink);
   Relation ScanTable(const Table& table, const std::string& alias);
   /// Streams `table`'s live rows matching all of `pushed` into `sink`
   /// without copying. `probe_conjunct` >= 0 selects pushed[probe_conjunct]
@@ -285,14 +335,18 @@ class Executor {
                               std::vector<ColumnBinding>& out) const;
   Relation ProjectCore(const sql::SelectCore& core,
                        const std::vector<ColumnBinding>& input_columns,
-                       const RowSource& input,
+                       const InputSource& input,
                        const std::vector<sql::OrderItem>* order_by,
                        std::vector<Row>* sort_keys);
+  /// GROUP BY and aggregation. With `fused`, a single GROUP BY expression
+  /// under hash grouping keys its groups in an IntKeyTable while the keys
+  /// stay INT64 (migrating to the generic table on the first other key);
+  /// the reference pipeline always uses the generic table.
   Relation AggregateCore(const sql::SelectCore& core,
                          const std::vector<ColumnBinding>& input_columns,
-                         const RowSource& input,
+                         const InputSource& input,
                          const std::vector<sql::OrderItem>* order_by,
-                         std::vector<Row>* sort_keys);
+                         std::vector<Row>* sort_keys, bool fused);
 
   // --- statements -------------------------------------------------------
   ResultSet ExecuteInternal(const sql::Statement& stmt, const LockPlan& plan,

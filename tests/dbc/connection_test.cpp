@@ -435,14 +435,15 @@ TEST_F(DbcTest, GovernanceUrlKnobsParseAndValidate) {
 TEST_F(DbcTest, ConnectionMemoryLimitAbortsOversizedStatements) {
   auto conn = Connect();
   conn->Execute("CREATE UNLOGGED TABLE nums (id BIGINT PRIMARY KEY)");
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 128; ++i) {
     conn->AddBatch("INSERT INTO nums VALUES (" + std::to_string(i) + ")");
   }
   conn->ExecuteBatch();
 
-  // A 64x64x64 cross join materializes far more than 64 KiB of transient
-  // rows; the budgeted connection must abort it with the quota error while
-  // an unbudgeted one computes it fine.
+  // A 128x128x128 cross join keeps its inner 128x128 join as 16384 row
+  // views (256 KiB of part pointers), far more than 64 KiB of transient
+  // state; the budgeted connection must abort it with the quota error
+  // while an unbudgeted one computes it fine.
   const std::string big =
       "SELECT COUNT(*) FROM nums AS a, nums AS b, nums AS c";
   auto budgeted = DriverManager::GetConnection(
@@ -451,8 +452,8 @@ TEST_F(DbcTest, ConnectionMemoryLimitAbortsOversizedStatements) {
   // The failed statement released its partial reservation; small work
   // still fits under the same budget.
   const auto small = budgeted->ExecuteQuery("SELECT COUNT(*) FROM nums");
-  EXPECT_EQ(small.rows[0][0].as_int(), 64);
-  EXPECT_EQ(conn->ExecuteQuery(big).rows[0][0].as_int(), 64 * 64 * 64);
+  EXPECT_EQ(small.rows[0][0].as_int(), 128);
+  EXPECT_EQ(conn->ExecuteQuery(big).rows[0][0].as_int(), 128 * 128 * 128);
 }
 
 TEST_F(DbcTest, OpenConnectionsAreCounted) {

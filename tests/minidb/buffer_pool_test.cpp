@@ -563,11 +563,20 @@ TEST(BufferPool, ReaderWriterEvictorRace) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> read_sum{0};
+  // Turnstile: the writer holds it while it waits for the exclusive lock,
+  // and each reader passes through it before every scan. Without it the
+  // two readers' back-to-back shared locks starve the writer (under TSan
+  // the 400 writes took minutes).
+  std::mutex turnstile;
 
   std::thread writer([&] {
     int64_t next_id = kSeedRows;
     for (int iter = 0; iter < 400; ++iter) {
-      const std::unique_lock lock(fx.table->lock());
+      std::unique_lock lock(fx.table->lock(), std::defer_lock);
+      {
+        const std::lock_guard turn(turnstile);
+        lock.lock();
+      }
       PinScope scope;
       fx.table->Insert(MakeRow(next_id));
       Row updated = MakeRow(next_id % kSeedRows);
@@ -587,6 +596,7 @@ TEST(BufferPool, ReaderWriterEvictorRace) {
       // readers are scheduled at all; every reader still owes one full
       // scan so the assertion below has teeth.
       do {
+        { const std::lock_guard turn(turnstile); }  // a waiting writer first
         const std::shared_lock lock(fx.table->lock());
         PinScope scope;
         PinScope::Window window;

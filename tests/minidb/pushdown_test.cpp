@@ -130,6 +130,56 @@ TEST_F(PushdownTest, RowsExaminedCoversJoins) {
   EXPECT_EQ(counters.rows_materialized, 0u);
 }
 
+TEST_F(PushdownTest, PageRankStepKeysFlatTablesAndCopiesNoJoinRows) {
+  Run("CREATE TABLE pr (node BIGINT PRIMARY KEY, rank DOUBLE, delta DOUBLE)");
+  Run("CREATE TABLE pr_tmp (node BIGINT PRIMARY KEY, rank DOUBLE, "
+      "delta DOUBLE)");
+  Run("CREATE TABLE edges (src BIGINT, dst BIGINT, weight DOUBLE)");
+  for (int n = 0; n < 40; ++n) {
+    Run("INSERT INTO pr VALUES (" + std::to_string(n) + ", 0, 0.15)");
+    for (int d = 1; d <= 3; ++d) {
+      Run("INSERT INTO edges VALUES (" + std::to_string(n) + ", " +
+          std::to_string((n * 7 + d * 3) % 40) + ", 0.25)");
+    }
+  }
+  const std::string step =
+      "INSERT INTO pr_tmp SELECT pr.node,"
+      " COALESCE(pr.rank + pr.delta, 0.15),"
+      " COALESCE(0.85 * SUM(inrank.delta * e.weight), 0.0)"
+      " FROM pr LEFT JOIN edges AS e ON pr.node = e.dst"
+      " LEFT JOIN pr AS inrank ON inrank.node = e.src GROUP BY pr.node";
+  EXPECT_EQ(Run(step).affected_rows, 40u);
+  const auto& counters = exec_.last_engine_counters();
+  EXPECT_EQ(counters.fused_cores, 1u);
+  // Both hash-join builds (edges on dst, pr on node) and the GROUP BY on
+  // pr.node key INT64 values in flat tables; no key ever migrates.
+  EXPECT_EQ(counters.int_key_tables, 3u);
+  EXPECT_EQ(counters.key_fallbacks, 0u);
+  // The three scans are borrowed, and the nested pr ⟕ edges join stays
+  // row views: no row is copied into an intermediate.
+  EXPECT_EQ(counters.rows_borrowed, 40u + 120u + 40u);
+  EXPECT_EQ(counters.rows_materialized, 0u);
+
+  // The merge keys its source in a flat table too.
+  EXPECT_EQ(Run("UPDATE pr SET rank = t.rank, delta = t.delta FROM pr_tmp "
+                "AS t WHERE pr.node = t.node")
+                .affected_rows,
+            40u);
+  EXPECT_EQ(exec_.last_engine_counters().int_key_tables, 1u);
+  EXPECT_EQ(exec_.last_engine_counters().key_fallbacks, 0u);
+
+  // The reference pipeline copies every scanned row and both joins' 120
+  // output rows (every node has three in-edges, so none is NULL-padded),
+  // with generic key tables only.
+  Run("DELETE FROM pr_tmp");
+  db_.set_fused_enabled(false);
+  Run(step);
+  db_.set_fused_enabled(true);
+  EXPECT_EQ(exec_.last_engine_counters().int_key_tables, 0u);
+  EXPECT_EQ(exec_.last_engine_counters().rows_materialized,
+            40u + 120u + 120u + 40u + 120u);
+}
+
 TEST_F(PushdownTest, ReferencePipelineMaterializesSameAnswer) {
   const auto fused = Run("SELECT COUNT(*) FROM msg WHERE target = 2");
   EXPECT_EQ(exec_.last_engine_counters().rows_materialized, 0u);

@@ -22,9 +22,12 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/memory_tracker.h"
 #include "core/resilience.h"
 #include "core/workloads.h"
 #include "graph/generators.h"
+#include "minidb/database.h"
+#include "minidb/executor.h"
 #include "server/job_server.h"
 #include "tests/core/core_test_util.h"
 
@@ -86,9 +89,9 @@ uint64_t TenantCounter(const JobServer& server, const std::string& tenant,
 /// A transient-memory-hungry single statement. The fused pipeline streams
 /// a plain two-table cross join without materializing (legitimately ~zero
 /// transient memory), so governance tests need the three-way form: its
-/// inner a×b join materializes |edges|^2 rows, every one charged to the
-/// job's scope, and the |edges|^3 rows examined make it long enough to
-/// catch a cancel genuinely mid-statement.
+/// inner a×b join keeps |edges|^2 row views (two part pointers each),
+/// every one charged to the job's scope, and the |edges|^3 rows examined
+/// make it long enough to catch a cancel genuinely mid-statement.
 const char* kCrossJoin3 =
     "SELECT COUNT(*) FROM edges AS a, edges AS b, edges AS c";
 
@@ -127,8 +130,9 @@ TEST(GovernanceTest, PerJobBudgetFailsOnlyTheOffendingJob) {
   JobServer server(ServiceConfig(fixture));
   Session session = server.OpenSession("tenant");
 
-  // 240 edges squared is megabytes of transient rows: a 64 KiB job budget
-  // must fail the statement at a clean boundary with the quota error.
+  // 240 edges squared is ~0.9 MB of transient row views: a 64 KiB job
+  // budget must fail the statement at a clean boundary with the quota
+  // error.
   core::SqloopOptions capped = SingleThreadOptions();
   capped.memory_limit_bytes = 64 * 1024;
   JobHandle hungry = session.Submit(kCrossJoin3, capped);
@@ -314,6 +318,65 @@ TEST(GovernanceTest, CancelLatencyStaysUnderOneRoundOnBatchedPath) {
             1u);
 }
 
+TEST(GovernanceTest, PageRankStepOverItsJoinBudgetFailsAtStatementBoundary) {
+  // The iterative round's step statement on the fused path: the nested
+  // PageRank ⟕ edges join kept as row views, both hash-join builds and the
+  // GROUP BY in flat INT64 tables. Its working set is charged: a budget
+  // below the nested join's view list alone must fail the statement with
+  // the quota error before it writes, and release every charged byte.
+  minidb::Database db("gov", minidb::EngineProfile::Postgres());
+  minidb::Executor exec(db);
+  exec.ExecuteSql("CREATE TABLE pr (node BIGINT PRIMARY KEY, "
+                  "rank DOUBLE PRECISION, delta DOUBLE PRECISION)");
+  exec.ExecuteSql("CREATE TABLE pr_tmp (node BIGINT PRIMARY KEY, "
+                  "rank DOUBLE PRECISION, delta DOUBLE PRECISION)");
+  exec.ExecuteSql("CREATE TABLE edges (src BIGINT, dst BIGINT, "
+                  "weight DOUBLE PRECISION)");
+  constexpr int kNodes = 1000;
+  constexpr int kOutDegree = 8;
+  for (int base = 0; base < kNodes; base += 100) {
+    std::string nodes = "INSERT INTO pr VALUES ";
+    std::string edges = "INSERT INTO edges VALUES ";
+    for (int n = base; n < base + 100; ++n) {
+      nodes += (n == base ? "(" : ", (") + std::to_string(n) + ", 0, 0.15)";
+      for (int d = 1; d <= kOutDegree; ++d) {
+        edges += (n == base && d == 1 ? "(" : ", (") + std::to_string(n) +
+                 ", " + std::to_string((n * 31 + d * 17) % kNodes) +
+                 ", 0.125)";
+      }
+    }
+    exec.ExecuteSql(nodes);
+    exec.ExecuteSql(edges);
+  }
+  const std::string step =
+      "INSERT INTO pr_tmp SELECT pr.node,"
+      " COALESCE(pr.rank + pr.delta, 0.15),"
+      " COALESCE(0.85 * SUM(inrank.delta * e.weight), 0.0)"
+      " FROM pr LEFT JOIN edges AS e ON pr.node = e.dst"
+      " LEFT JOIN pr AS inrank ON inrank.node = e.src GROUP BY pr.node";
+
+  // Unbudgeted, the step runs fused with three flat tables and charges
+  // more than its nested join's part pointers.
+  MemoryTracker roomy("roomy");
+  exec.set_memory_tracker(&roomy);
+  EXPECT_EQ(exec.ExecuteSql(step).affected_rows, static_cast<size_t>(kNodes));
+  EXPECT_EQ(exec.last_engine_counters().fused_cores, 1u);
+  EXPECT_EQ(exec.last_engine_counters().int_key_tables, 3u);
+  const int64_t join_views =
+      static_cast<int64_t>(kNodes) * kOutDegree * 2 * sizeof(void*);
+  EXPECT_GT(roomy.peak_bytes(), join_views);
+  EXPECT_EQ(roomy.reserved_bytes(), 0);
+  exec.ExecuteSql("DELETE FROM pr_tmp");
+
+  MemoryTracker tight("tight", nullptr, join_views / 2);
+  exec.set_memory_tracker(&tight);
+  EXPECT_THROW(exec.ExecuteSql(step), QuotaExceededError);
+  EXPECT_EQ(tight.reserved_bytes(), 0);
+  exec.set_memory_tracker(nullptr);
+  EXPECT_EQ(exec.ExecuteSql("SELECT COUNT(*) FROM pr_tmp").rows[0][0].as_int(),
+            0);
+}
+
 TEST(GovernanceTest, RetrierNeverRetriesCancellationOrQuota) {
   CoreFixtureBase fixture("postgres");
   auto conn = dbc::DriverManager::GetConnection(fixture.Url());
@@ -401,7 +464,9 @@ TEST(GovernanceTest, SoftWatermarkShedsNewSubmissions) {
 }
 
 TEST(GovernanceTest, HardWatermarkGovernorCancelsTheHungriestJob) {
-  const graph::Graph g = graph::MakeWebGraph(80, 3, 7);
+  // ~600 edges: the inner a x b join keeps ~360k row views (~5.8 MB of
+  // part pointers), well past the 2 MB headroom below.
+  const graph::Graph g = graph::MakeWebGraph(200, 3, 7);
   CoreFixtureBase fixture("postgres");
   fixture.LoadGraph(g);
 
@@ -513,7 +578,7 @@ TEST(GovernanceTest, GovernanceGaugesSurfaceInTenantTelemetry) {
   Session session = server.OpenSession("tenant");
   session.Submit(kCrossJoin3, SingleThreadOptions()).WaitDone();
 
-  // The cross join charged megabytes of transient rows against the
+  // The cross join charged ~100 KB of transient row views against the
   // tenant scope; its peak survives job completion, while the live
   // reservation has been released with the job.
   EXPECT_GT(TenantCounter(server, "tenant", "governance.bytes_peak"), 0u);
