@@ -82,7 +82,9 @@ struct RowRef {
   const Row* flat = nullptr;
   JoinRowView join;
 
-  RowRef(const Row& row) noexcept : flat(&row) {}  // NOLINT: implicit
+  // NOLINTNEXTLINE(google-explicit-constructor): implicit by design, so
+  // scans and the reference pipeline pass their rows to input sinks as-is.
+  RowRef(const Row& row) noexcept : flat(&row) {}
   explicit RowRef(JoinRowView view) noexcept : join(view) {}
 
   const Value& operator[](size_t column) const noexcept {
