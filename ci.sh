@@ -126,7 +126,7 @@ run_preset() {
       rm -f BENCH_storage.baseline.json
       ;;
     *)
-      echo "==> [${preset}] resilience|recovery|engine|gains|service|governance|durability|storage suites"
+      echo "==> [${preset}] resilience|recovery|engine|service|governance|durability|storage suites"
       ctest --preset "${preset}"
       ;;
   esac

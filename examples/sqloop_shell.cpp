@@ -169,6 +169,7 @@ void PrintStats(const core::RunStats& stats) {
                 << " int_key_tables="
                 << rec.counter("minidb.int_key_tables")
                 << " key_fallbacks=" << rec.counter("minidb.key_fallbacks")
+                << " index_merges=" << rec.counter("minidb.index_merges")
                 << "\n";
     }
     const uint64_t gov_peak = rec.counter("governance.job_bytes_peak");
@@ -221,6 +222,7 @@ class TraceObserver : public core::ExecutionObserver {
               << " compute=" << round.compute_tasks << "/"
               << round.compute_seconds << "s gather=" << round.gather_tasks
               << "/" << round.gather_seconds << "s";
+    if (round.keys_driven > 0) std::cout << " keys=" << round.keys_driven;
     if (round.partitions_skipped > 0) {
       std::cout << " skipped=" << round.partitions_skipped;
     }

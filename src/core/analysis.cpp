@@ -110,6 +110,11 @@ CteAnalysis AnalyzeIterativeCte(const sql::WithClause& with) {
     return Fallback(std::move(analysis),
                     "the iterative member must be a single SELECT");
   }
+  if (step.limit || step.offset) {
+    return Fallback(std::move(analysis),
+                    "LIMIT/OFFSET in the iterative member selects across "
+                    "keys; partitions could not apply it locally");
+  }
   const sql::SelectCore& core = step.cores[0];
   analysis.where = core.where.get();
 
@@ -166,6 +171,7 @@ CteAnalysis AnalyzeIterativeCte(const sql::WithClause& with) {
   analysis.self_alias = flat.bases[cte_refs[1]].alias;
   analysis.mid_table = flat.bases[other_refs[0]].table;
   analysis.mid_alias = flat.bases[other_refs[0]].alias;
+  analysis.primary_leftmost = cte_refs[0] == 0;
 
   // --- join keys ----------------------------------------------------------
   // Expect R.key = M.<to> and Self.key = M.<from> among the ON conjuncts.
@@ -198,9 +204,14 @@ CteAnalysis AnalyzeIterativeCte(const sql::WithClause& with) {
   }
 
   // --- GROUP BY must be exactly R.key -------------------------------------
-  if (core.group_by.size() != 1 ||
-      core.group_by[0]->kind != sql::ExprKind::kColumnRef ||
-      FoldIdentifier(core.group_by[0]->column) != analysis.key_column) {
+  // A key reference qualified with another alias (Self.key, say) names a
+  // different column; an unqualified one is ambiguous between R and Self.
+  const auto is_primary_key = [&](const sql::Expr& expr) {
+    return expr.kind == sql::ExprKind::kColumnRef &&
+           FoldIdentifier(expr.column) == analysis.key_column &&
+           FoldIdentifier(expr.qualifier) == analysis.primary_alias;
+  };
+  if (core.group_by.size() != 1 || !is_primary_key(*core.group_by[0])) {
     return Fallback(std::move(analysis),
                     "the iterative member must GROUP BY the key column");
   }
@@ -211,9 +222,7 @@ CteAnalysis AnalyzeIterativeCte(const sql::WithClause& with) {
                     "the iterative member's SELECT list width differs from "
                     "the declared CTE columns");
   }
-  const sql::Expr& first = *core.items[0].expr;
-  if (first.kind != sql::ExprKind::kColumnRef ||
-      FoldIdentifier(first.column) != analysis.key_column) {
+  if (!is_primary_key(*core.items[0].expr)) {
     return Fallback(std::move(analysis),
                     "the first output column must echo the key (Rid)");
   }

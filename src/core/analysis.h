@@ -60,6 +60,20 @@ struct CteAnalysis {
     const sql::Expr* expr = nullptr;  // borrowed from the CTE AST
   };
   std::vector<OwnColumn> own_columns;
+
+  // Whether R (the primary reference) is the leftmost input of Ri's FROM
+  // clause, so every join sees it on its left side and a filter on R's
+  // key commutes with the whole join tree.
+  bool primary_leftmost = false;
+
+  /// MIN/MAX accumulation is idempotent: a row only has news for its
+  /// neighbours after it changed (the paper's DAIC change propagation,
+  /// §V-E). The parallel runner gates sending on it, and the
+  /// single-threaded loop recomputes only the keys a change can reach.
+  bool IsMinMax() const noexcept {
+    return has_aggregate && (aggregate == sql::AggFunc::kMin ||
+                             aggregate == sql::AggFunc::kMax);
+  }
 };
 
 /// Analyzes the iterative CTE. Never throws for "merely unsupported"

@@ -153,8 +153,7 @@ void ParallelRunner::CreatePartitions() {
   // columns depending on the aggregate).
   std::vector<sql::ColumnDef> partition_schema = schema_;
   const bool avg = analysis_.aggregate == sql::AggFunc::kAvg;
-  const bool minmax = analysis_.aggregate == sql::AggFunc::kMin ||
-                      analysis_.aggregate == sql::AggFunc::kMax;
+  const bool minmax = analysis_.IsMinMax();
   if (avg) {
     partition_schema.push_back({kAvgSumColumn, ValueType::kDouble, ""});
     partition_schema.push_back({kAvgCntColumn, ValueType::kInt64, ""});
@@ -270,8 +269,7 @@ void ParallelRunner::MaterializeConstantJoins() {
 
 void ParallelRunner::BuildTaskSql() {
   const bool avg = analysis_.aggregate == sql::AggFunc::kAvg;
-  const bool keep_delta = analysis_.aggregate == sql::AggFunc::kMin ||
-                          analysis_.aggregate == sql::AggFunc::kMax;
+  const bool keep_delta = analysis_.IsMinMax();
   const std::string key = schema_[0].name;
   const std::string alias = translator_.Quote(analysis_.primary_alias);
   const std::string delta = translator_.Quote(analysis_.delta_column);

@@ -1,7 +1,10 @@
 #include "core/single_thread.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/stopwatch.h"
+#include "core/analysis.h"
 #include "core/checkpoint.h"
 #include "core/resilience.h"
 #include "core/schema_infer.h"
@@ -9,6 +12,7 @@
 #include "core/translator.h"
 #include "dbc/prepared_statement.h"
 #include "minidb/schema.h"
+#include "sql/parser.h"
 #include "sql/value.h"
 #include "telemetry/hooks.h"
 
@@ -78,11 +82,9 @@ class ResilientConn {
     return retrier_.Run(conn_, "prepare", -1,
                         [&] { return conn_.Prepare(sql); });
   }
-  void Execute(dbc::PreparedStatement& stmt) {
-    retrier_.Run(conn_, "statement", -1, [&] {
-      stmt.Execute();
-      return 0;
-    });
+  dbc::ResultSet Execute(dbc::PreparedStatement& stmt) {
+    return retrier_.Run(conn_, "statement", -1,
+                        [&] { return stmt.Execute(); });
   }
   size_t ExecuteUpdate(dbc::PreparedStatement& stmt) {
     return retrier_.Run(conn_, "statement", -1,
@@ -124,14 +126,89 @@ std::string BuildMergeSql(const Translator& translator,
   return translator.Render(update);
 }
 
+/// 1 exactly when Value::KeyEquals(a, b), the equality the merge's
+/// changed-row test uses (NULLs equal, 1 = 1.0, -0.0 = 0.0), else 0;
+/// never a type error: `CASE WHEN a IS NULL THEN b IS NULL ELSE CASE a
+/// WHEN b THEN 1 ELSE 0 END END`.
+sql::ExprPtr KeyEqualsExpr(const sql::Expr& a, const sql::Expr& b) {
+  auto simple = std::make_unique<sql::Expr>();
+  simple->kind = sql::ExprKind::kCase;
+  simple->case_operand = a.Clone();
+  simple->whens.push_back({b.Clone(), sql::MakeLiteral(Value(int64_t{1}))});
+  simple->else_expr = sql::MakeLiteral(Value(int64_t{0}));
+  auto searched = std::make_unique<sql::Expr>();
+  searched->kind = sql::ExprKind::kCase;
+  searched->whens.push_back({sql::MakeIsNull(a.Clone(), false),
+                             sql::MakeIsNull(b.Clone(), false)});
+  searched->else_expr = std::move(simple);
+  return searched;
+}
+
+/// The MIN/MAX step with `HAVING NOT (same(out_1, R.c_1) AND ...)`: it
+/// keeps only the rows the merge would change (DESIGN.md "Frontier
+/// rounds").
+sql::SelectPtr KeepChangedRows(const sql::SelectStmt& step,
+                               const CteAnalysis& analysis,
+                               const std::vector<sql::ColumnDef>& schema) {
+  auto out = step.Clone();
+  sql::SelectCore& core = out->cores[0];
+  sql::ExprPtr same;
+  for (size_t i = 1; i < schema.size(); ++i) {
+    same = sql::AndTogether(
+        std::move(same),
+        KeyEqualsExpr(*core.items[i].expr,
+                      *sql::MakeColumnRef(analysis.primary_alias,
+                                          schema[i].name)));
+  }
+  core.having =
+      sql::AndTogether(std::move(core.having),
+                       sql::MakeUnary(sql::UnaryOp::kNot, std::move(same)));
+  return out;
+}
+
+/// `step` driven by `(SELECT key FROM prev UNION SELECT M.to FROM prev JOIN
+/// mid AS M ON M.from = prev.key) AS sqloop_frontier JOIN R ON R.key =
+/// sqloop_frontier.key`, R being its leftmost input: the keys that changed
+/// last round and the keys their `mid` rows point at, the only keys whose
+/// inputs can have changed.
+std::string FrontierStepSql(const Translator& translator,
+                            const sql::SelectStmt& step,
+                            const CteAnalysis& analysis,
+                            const std::string& prev) {
+  static constexpr const char* kFrontier = "sqloop_frontier";
+  const std::string p = translator.Quote(prev);
+  const std::string key = translator.Quote(analysis.key_column);
+  auto driver = sql::ParseSelect(
+      "SELECT sqloop_prev." + key + " FROM " + p +
+      " AS sqloop_prev UNION SELECT sqloop_mid." +
+      translator.Quote(analysis.mid_to_key) + " FROM " + p +
+      " AS sqloop_prev JOIN " + translator.Quote(analysis.mid_table) +
+      " AS sqloop_mid ON sqloop_mid." +
+      translator.Quote(analysis.mid_from_key) + " = sqloop_prev." + key);
+  auto out = step.Clone();
+  sql::TableRefPtr* leftmost = &out->cores[0].from;
+  while ((*leftmost)->kind == sql::TableRefKind::kJoin) {
+    leftmost = &(*leftmost)->left;
+  }
+  auto on = sql::MakeBinary(
+      sql::BinaryOp::kEq,
+      sql::MakeColumnRef(analysis.primary_alias, analysis.key_column),
+      sql::MakeColumnRef(kFrontier, analysis.key_column));
+  *leftmost = sql::MakeJoin(sql::JoinKind::kInner,
+                            sql::MakeSubquery(std::move(driver), kFrontier),
+                            std::move(*leftmost), std::move(on));
+  return translator.Render(*out);
+}
+
 /// Records one round of a single-threaded loop: the whole body counts as
 /// one Compute-side task, plus a span so traces stay uniform across modes.
 void RecordRound(const ExecutionContext& ctx, const Stopwatch& run_watch,
-                 int64_t round, uint64_t updates, double body_start,
-                 telemetry::SpanKind kind) {
+                 int64_t round, uint64_t updates, uint64_t keys_driven,
+                 double body_start, telemetry::SpanKind kind) {
   telemetry::IterationStats it;
   it.round = round;
   it.updates = updates;
+  it.keys_driven = keys_driven;
   it.compute_tasks = 1;
   it.seconds = run_watch.ElapsedSeconds() - body_start;
   it.compute_seconds = it.seconds;
@@ -191,7 +268,10 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
   const Stopwatch watch;
   const Translator translator = Translator::For(connection);
   const std::string table = FoldIdentifier(with.name);
-  const std::string tmp = table + "_tmp";
+  // Two scratch tables persist for the job: round i writes its step
+  // output into scratch[i % 2] while scratch[(i + 1) % 2] still holds the
+  // previous round's changed rows (frontier rounds read them).
+  const std::string scratch[2] = {table + "_tmp0", table + "_tmp1"};
   ResilientConn rc(connection, ctx);
 
   // Schema inference only issues read-only probes, so the whole call is a
@@ -206,6 +286,13 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
                         "one value column");
   }
   const TerminationChecker checker(with.termination, translator, table);
+  // MIN/MAX steps of the analyzable shape run frontier rounds: exact,
+  // because key k's output reads only row k and the rows its `mid` rows
+  // point at, and `mid` stays constant for the job (DESIGN.md "Frontier
+  // rounds").
+  const CteAnalysis analysis = AnalyzeIterativeCte(with);
+  const bool frontier = analysis.parallelizable && analysis.IsMinMax() &&
+                        analysis.primary_leftmost;
 
   // --- checkpointing / recovery ----------------------------------------
   // Identity ties checkpoints to the exact job (query text + mode): a
@@ -240,16 +327,18 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
   // CREATE TABLE R; INSERT INTO R R0 (paper §IV-B) — or, when resuming,
   // R restored from the newest valid checkpoint.
   rc.Execute(translator.DropTableSql(table));
-  rc.Execute(translator.DropTableSql(tmp));
+  for (const auto& name : scratch) rc.Execute(translator.DropTableSql(name));
   rc.Execute(translator.DropTableSql(checker.delta_table()));
   int64_t start_iteration = 1;
+  size_t table_rows = 0;  // the merge only updates, so R's size is fixed
   if (resume_from != std::nullopt) {
     // The dump stores doubles as raw bit patterns and the restore reinserts
     // rows in dump order, so the resumed table is indistinguishable from
     // the one the killed run held after this round.
     const double restore_start = watch.ElapsedSeconds();
-    rc.Execute("RESTORE TABLE " + translator.Quote(table) + " FROM " +
-               Value(resume_from->table_file).ToSqlLiteral());
+    table_rows = rc.ExecuteUpdate(
+        "RESTORE TABLE " + translator.Quote(table) + " FROM " +
+        Value(resume_from->table_file).ToSqlLiteral());
     start_iteration = resume_from->round + 1;
     stats.resumed_from_round = resume_from->round;
     SQLOOP_COUNT(ctx.recorder, "checkpoint.restores", 1);
@@ -259,19 +348,42 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
   } else {
     rc.Execute(
         translator.CreateTableSql(table, schema, /*primary_key_index=*/0));
-    rc.Execute("INSERT INTO " + translator.Quote(table) + " " +
-               translator.Render(*with.seed));
+    table_rows = rc.ExecuteUpdate("INSERT INTO " + translator.Quote(table) +
+                                  " " + translator.Render(*with.seed));
   }
 
   // Every statement the loop repeats is prepared exactly once here; the
-  // iterations below only execute the handles. The per-round tmp-table DDL
-  // re-binds each plan's lock set (cheap), but nothing is re-parsed.
-  auto create_tmp_stmt = rc.Prepare(
-      translator.CreateTableSql(tmp, schema, /*primary_key_index=*/0));
-  auto insert_tmp_stmt = rc.Prepare("INSERT INTO " + translator.Quote(tmp) +
-                                    " " + translator.Render(*with.step));
-  auto merge_stmt = rc.Prepare(BuildMergeSql(translator, table, tmp, schema));
-  auto drop_tmp_stmt = rc.Prepare(translator.DropTableSql(tmp));
+  // iterations below only execute the handles. A round is TRUNCATE next;
+  // INSERT INTO next <step>; UPDATE R ... FROM next. The first round (also
+  // after a resume or a repair, whose setup starts from empty scratch
+  // tables) drives the step from all of R; later frontier rounds drive it
+  // from the previous round's changed keys. Without frontier rounds one
+  // scratch table serves every round.
+  const int scratch_count = frontier ? 2 : 1;
+  const sql::SelectPtr step =
+      frontier ? KeepChangedRows(*with.step, analysis, schema)
+               : with.step->Clone();
+  const std::string full_step = translator.Render(*step);
+  std::vector<dbc::PreparedStatement> truncate_stmts;
+  std::vector<dbc::PreparedStatement> step_stmts;      // full driver
+  std::vector<dbc::PreparedStatement> frontier_stmts;  // previous' keys
+  std::vector<dbc::PreparedStatement> merge_stmts;
+  for (int k = 0; k < scratch_count; ++k) {
+    const std::string& next = scratch[k];
+    rc.Execute(
+        translator.CreateTableSql(next, schema, /*primary_key_index=*/0));
+    truncate_stmts.push_back(rc.Prepare("TRUNCATE TABLE " +
+                                        translator.Quote(next)));
+    const std::string insert = "INSERT INTO " + translator.Quote(next) + " ";
+    step_stmts.push_back(rc.Prepare(insert + full_step));
+    if (frontier) {
+      frontier_stmts.push_back(
+          rc.Prepare(insert + FrontierStepSql(translator, *step, analysis,
+                                              scratch[1 - k])));
+    }
+    merge_stmts.push_back(
+        rc.Prepare(BuildMergeSql(translator, table, next, schema)));
+  }
   std::vector<dbc::PreparedStatement> snapshot_stmts;
   if (checker.needs_delta_snapshot()) {
     for (const auto& sql : checker.SnapshotSql(schema)) {
@@ -279,6 +391,16 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
     }
   }
 
+  // Frontier rounds pay off only where the engine drives the step's joins
+  // from the small frontier through indexes; an engine that hash-joins
+  // scans every input either way and pays for the frontier's own join on
+  // top. So each round takes the form predicted to read fewer rows, from
+  // the rows_examined the engine reports: the last whole-table step's,
+  // against the last frontier step's per key of `prev` times this
+  // round's `prev` size. Both forms are exact from any state.
+  size_t full_step_rows = 0;
+  double frontier_rows_per_key = 0;  // 0 until a frontier round ran
+  size_t prev_rows = 0;              // rows the last step wrote to `next`
   for (int64_t iteration = start_iteration;; ++iteration) {
     const RoundLease lease(ctx.gate, iteration);
     if (ctx.observer != nullptr) ctx.observer->OnRoundStart(iteration);
@@ -292,14 +414,28 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
     const double body_start = watch.ElapsedSeconds();
     for (auto& stmt : snapshot_stmts) rc.Execute(stmt);
     // Rtmp <- Ri(R); R <- merge(R, Rtmp) on matching keys.
-    rc.Execute(create_tmp_stmt);
-    rc.Execute(insert_tmp_stmt);
-    const size_t updates = rc.ExecuteUpdate(merge_stmt);
-    rc.Execute(drop_tmp_stmt);
+    const size_t k = static_cast<size_t>(iteration % scratch_count);
+    const bool from_frontier =
+        frontier && iteration > start_iteration &&
+        frontier_rows_per_key * static_cast<double>(prev_rows) <
+            static_cast<double>(full_step_rows);
+    rc.Execute(truncate_stmts[k]);
+    const dbc::ResultSet stepped =
+        rc.Execute(from_frontier ? frontier_stmts[k] : step_stmts[k]);
+    if (from_frontier) {
+      frontier_rows_per_key =
+          static_cast<double>(stepped.rows_examined) /
+          static_cast<double>(std::max<size_t>(prev_rows, 1));
+    } else {
+      full_step_rows = stepped.rows_examined;
+    }
+    prev_rows = stepped.affected_rows;
+    const size_t updates = rc.ExecuteUpdate(merge_stmts[k]);
 
     stats.iterations = iteration;
     stats.total_updates += updates;
-    RecordRound(ctx, watch, iteration, updates, body_start,
+    RecordRound(ctx, watch, iteration, updates,
+                from_frontier ? stepped.derived_rows : table_rows, body_start,
                 telemetry::SpanKind::kMerge);
     const bool satisfied = rc.retrier().Run(connection, "termination", -1, [&] {
       return checker.Satisfied(connection, iteration, updates);
@@ -359,6 +495,9 @@ dbc::ResultSet RunIterativeSingleThread(dbc::Connection& connection,
   dbc::ResultSet result =
       rc.ExecuteQuery(translator.Render(*with.final_query));
 
+  for (int i = 0; i < scratch_count; ++i) {
+    rc.Execute(translator.DropTableSql(scratch[i]));
+  }
   if (!options.keep_result_tables) {
     rc.Execute(translator.DropTableSql(table));
     rc.Execute(translator.DropTableSql(checker.delta_table()));
@@ -395,7 +534,10 @@ dbc::ResultSet RunRecursiveEmulated(dbc::Connection& connection,
   rc.Execute(translator.CreateTableSql(work_a, schema, -1));
   const std::string seed_sql = translator.Render(*with.seed);
   rc.Execute("INSERT INTO " + translator.Quote(table) + " " + seed_sql);
-  rc.Execute("INSERT INTO " + translator.Quote(work_a) + " " + seed_sql);
+  // Each round drives the step from the previous round's delta.
+  size_t driven =
+      rc.ExecuteUpdate("INSERT INTO " + translator.Quote(work_a) + " " +
+                       seed_sql);
 
   // Semi-naive loop: the step only ever sees the previous delta.
   std::string current = work_a;
@@ -418,7 +560,7 @@ dbc::ResultSet RunRecursiveEmulated(dbc::Connection& connection,
     stats.total_updates += produced;
     if (produced == 0) {
       rc.Execute(translator.DropTableSql(next));
-      RecordRound(ctx, watch, round, 0, body_start,
+      RecordRound(ctx, watch, round, 0, driven, body_start,
                   telemetry::SpanKind::kMerge);
       break;
     }
@@ -426,8 +568,9 @@ dbc::ResultSet RunRecursiveEmulated(dbc::Connection& connection,
                translator.Quote(next));
     rc.Execute(translator.DropTableSql(current));
     std::swap(current, next);
-    RecordRound(ctx, watch, round, produced, body_start,
+    RecordRound(ctx, watch, round, produced, driven, body_start,
                 telemetry::SpanKind::kMerge);
+    driven = produced;
   }
 
   dbc::ResultSet result =

@@ -476,6 +476,13 @@ std::vector<ColumnBinding> CombinedOrderBindings(size_t output_width,
   return combined;
 }
 
+/// An UPDATE ... FROM probes the target's key index instead of scanning
+/// it when the source has fewer than 1/kIndexMergeRatio of the target's
+/// live rows. Measured crossover (no-op merges, INT64 primary key, source
+/// keys scattered over the target): 1/8 of a 2,500-row target, between
+/// 1/8 and 1/4 of a 200,000-row one; DESIGN.md "Frontier rounds".
+constexpr size_t kIndexMergeRatio = 8;
+
 /// Whether an UPDATE's new row differs from the stored one (NULLs equal).
 bool RowChanged(const Row& updated, const Row& current) {
   for (size_t i = 0; i < updated.size(); ++i) {
@@ -859,6 +866,7 @@ Relation Executor::EvalTableRef(const sql::TableRef& ref, ExecContext& ctx) {
     }
     case sql::TableRefKind::kSubquery: {
       ResultSet result = EvalSelect(*ref.subquery, ctx);
+      counters_.derived_rows += result.rows.size();
       return ResultToRelation(std::move(result), ref.alias);
     }
     case sql::TableRefKind::kJoin:
@@ -2460,6 +2468,7 @@ ResultSet Executor::ExecInsert(const sql::Statement& stmt, Session* session) {
     }
   }
 
+  GovFlush();  // end of the read phase: enforce the budget before writing
   BackupForTransaction(session, *table);
   size_t inserted = 0;
   for (Row& source : incoming) {
@@ -2616,10 +2625,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
       slots.push_back({1, static_cast<uint32_t>(c)});
     }
     Row updated;
-    PinScope::Window window;
-    for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
-      if ((row_id & kPageRowMask) == 0) window.Reset();
-      if (!table->IsLive(row_id)) continue;
+    const auto match_target = [&](size_t row_id) {
       ++rows_examined_;
       GovTick();
       const Row& current = table->At(row_id);
@@ -2646,14 +2652,14 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
 
       if (target_key >= 0) {
         const Value& key = current[target_key];
-        if (key.is_null()) continue;
+        if (key.is_null()) return;
         if (int_keys && !key.is_int()) migrate(source.row_count());
         if (int_keys) {
           for (uint32_t i = int_by_key.Find(key.int_unchecked());
                i != IntKeyTable::kVacant; i = newer_to_older[i]) {
             if (try_match(source.row(i))) break;  // first match wins
           }
-          continue;
+          return;
         }
         const auto [begin, end] = by_key.equal_range(key);
         for (auto it = begin; it != end; ++it) {
@@ -2663,6 +2669,41 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
         for (size_t i = 0; i < source.row_count(); ++i) {
           if (try_match(source.row(i))) break;
         }
+      }
+    };
+
+    // Index-driven merge: when the target indexes the matched key and the
+    // source is much smaller than the target, the source keys' index
+    // probes name every target row the scan could match. Visiting just
+    // those, in ascending row-id order, matches the same rows in the same
+    // order. The reference pipeline always scans.
+    const bool probe =
+        target_key >= 0 && db_.fused_enabled() &&
+        source.row_count() * kIndexMergeRatio < table->live_row_count() &&
+        table->HasIndexOn(schema.columns()[target_key].name);
+    PinScope::Window window;
+    if (probe) {
+      ++counters_.index_merges;
+      const std::string& column = schema.columns()[target_key].name;
+      std::vector<size_t> targets;
+      for (size_t i = 0; i < source.row_count(); ++i) {
+        GovTick();
+        const Value& key = source.row(i)[source_key];
+        if (!key.is_null()) table->IndexProbe(column, key, targets);
+      }
+      std::sort(targets.begin(), targets.end());
+      targets.erase(std::unique(targets.begin(), targets.end()),
+                    targets.end());
+      GovCharge(static_cast<int64_t>(targets.capacity() * sizeof(size_t)));
+      size_t visited = 0;
+      for (const size_t row_id : targets) {
+        if ((visited++ & kPageRowMask) == 0) window.Reset();
+        match_target(row_id);
+      }
+    } else {
+      for (size_t row_id = 0; row_id < table->slot_count(); ++row_id) {
+        if ((row_id & kPageRowMask) == 0) window.Reset();
+        if (table->IsLive(row_id)) match_target(row_id);
       }
     }
   } else {
@@ -2688,6 +2729,7 @@ ResultSet Executor::ExecUpdate(const sql::Statement& stmt, Session* session,
     }
   }
 
+  GovFlush();
   BackupForTransaction(session, *table);
   for (auto& [row_id, row] : pending) {
     table->Update(row_id, std::move(row));
@@ -2722,6 +2764,7 @@ ResultSet Executor::ExecDelete(const sql::Statement& stmt, Session* session) {
     }
     doomed.push_back(row_id);
   }
+  GovFlush();
   BackupForTransaction(session, *table);
   for (const size_t row_id : doomed) table->Delete(row_id);
   table->CompactIfSparse();
@@ -2805,6 +2848,7 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
   GovEndStatement();
   access_ = nullptr;
   result.rows_examined = rows_examined_;
+  result.derived_rows = counters_.derived_rows;
   SQLOOP_COUNT(recorder_, "minidb.rows_examined", rows_examined_);
   // Engine counters flush only when nonzero so statements that never touch
   // the SELECT pipeline don't mint empty counter entries.
@@ -2846,6 +2890,9 @@ ResultSet Executor::ExecuteWithPlan(const sql::Statement& stmt,
   }
   if (counters_.key_fallbacks != 0) {
     SQLOOP_COUNT(recorder_, "minidb.key_fallbacks", counters_.key_fallbacks);
+  }
+  if (counters_.index_merges != 0) {
+    SQLOOP_COUNT(recorder_, "minidb.index_merges", counters_.index_merges);
   }
   // Buffer-pool deltas: the pool's counters are pool-lifetime, so each
   // statement flushes only what it moved. Unbounded pools never pin or
@@ -2993,14 +3040,19 @@ ResultSet Executor::ExecuteInternal(const sql::Statement& stmt,
       LockSet locks(recorder_);
       ApplyLockPlan(locks, db_, plan);
       locks.AcquireAll();
-      return EvalSelect(*stmt.select, ctx,
-                        access_ != nullptr ? &access_->select_cores : nullptr);
+      ResultSet result = EvalSelect(
+          *stmt.select, ctx,
+          access_ != nullptr ? &access_->select_cores : nullptr);
+      GovFlush();  // the whole statement is its read phase
+      return result;
     }
     case sql::StatementKind::kWith: {
       LockSet locks(recorder_);
       ApplyLockPlan(locks, db_, plan);
       locks.AcquireAll();
-      return ExecWith(stmt, ctx);
+      ResultSet result = ExecWith(stmt, ctx);
+      GovFlush();
+      return result;
     }
     case sql::StatementKind::kCreateTable:
       return ExecCreateTable(stmt);

@@ -113,6 +113,9 @@ class Executor {
     size_t int_key_tables = 0;     // INT64 flat key tables started (hash
                                    // join build, GROUP BY, UPDATE merge)
     size_t key_fallbacks = 0;      // of those, migrated to the generic table
+    size_t index_merges = 0;       // UPDATE ... FROM merges that probed the
+                                   // target's key index instead of scanning
+    size_t derived_rows = 0;       // rows FROM-clause subqueries produced
   };
   const EngineCounters& last_engine_counters() const noexcept {
     return counters_;
@@ -137,8 +140,9 @@ class Executor {
   // transient working sets (materialized rows, join builds, GROUP BY
   // state) batch locally and flush into the attached tracker chain, which
   // throws QuotaExceededError on breach. Ticks and charges live only in
-  // read/build phases — never in write-apply loops — so a mid-statement
-  // abort always leaves tables untouched.
+  // read/build phases — never in write-apply loops — and each read phase
+  // ends with a flush, so every byte charged is checked before anything
+  // is written and a mid-statement abort always leaves tables untouched.
 
   /// Default rows between governor checks (see `cancel_check_rows` URL
   /// parameter).

@@ -55,6 +55,10 @@ struct ResultSet {
   /// server-side compile cost (compile_us) — prepared/cached executions
   /// skip it, exactly like a server-side PREPARE.
   bool compiled = false;
+  /// Rows the statement's FROM-clause subqueries (derived tables)
+  /// produced. The single-threaded loop reads it as the number of keys a
+  /// frontier round drove.
+  size_t derived_rows = 0;
 
   bool empty() const noexcept { return rows.empty(); }
   size_t row_count() const noexcept { return rows.size(); }

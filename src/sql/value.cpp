@@ -89,7 +89,14 @@ std::string Value::ToSqlLiteral() const {
     out += '\'';
     return out;
   }
-  return ToString();
+  std::string out = ToString();
+  // "%.17g" prints integral doubles (-0.0 included) without a decimal
+  // point, and the parser would read that text back as a BIGINT.
+  if (is_double() &&
+      out.find_first_not_of("-0123456789") == std::string::npos) {
+    out += ".0";
+  }
+  return out;
 }
 
 std::string Value::ToString() const {

@@ -137,6 +137,7 @@ void WriteJsonLines(const Recorder& recorder, std::ostream& out) {
         << ",\"messages_produced\":" << it.messages_produced
         << ",\"messages_consumed\":" << it.messages_consumed
         << ",\"partitions_skipped\":" << it.partitions_skipped
+        << ",\"keys_driven\":" << it.keys_driven
         << ",\"seconds\":" << Num(it.seconds) << "}\n";
   }
   for (const auto& span : recorder.SpansSnapshot()) {
@@ -195,6 +196,7 @@ size_t ReadJsonLines(std::istream& in, Recorder& into) {
       FindUint(line, "messages_produced", &it.messages_produced);
       FindUint(line, "messages_consumed", &it.messages_consumed);
       FindUint(line, "partitions_skipped", &it.partitions_skipped);
+      FindUint(line, "keys_driven", &it.keys_driven);
       FindDouble(line, "seconds", &it.seconds);
       into.RecordIteration(it);
     } else if (type == "span") {
@@ -252,15 +254,16 @@ std::string Summary(const Recorder& recorder) {
   out << "-- telemetry: " << iterations.size() << " round(s), "
       << recorder.span_count() << " span(s) --\n";
   if (!iterations.empty()) {
-    out << "round    updates  ctask  gtask  compute_s  gather_s  barrier_s"
-           "   msg+   msg-   skip    wall_s\n";
+    out << "round    updates       keys  ctask  gtask  compute_s  gather_s"
+           "  barrier_s   msg+   msg-   skip    wall_s\n";
     for (const auto& it : iterations) {
-      char line[160];
+      char line[192];
       std::snprintf(line, sizeof(line),
-                    "%5lld %10llu %6llu %6llu  %9.4f %9.4f  %9.4f %6llu "
-                    "%6llu %6llu %9.4f\n",
+                    "%5lld %10llu %10llu %6llu %6llu  %9.4f %9.4f  %9.4f "
+                    "%6llu %6llu %6llu %9.4f\n",
                     static_cast<long long>(it.round),
                     static_cast<unsigned long long>(it.updates),
+                    static_cast<unsigned long long>(it.keys_driven),
                     static_cast<unsigned long long>(it.compute_tasks),
                     static_cast<unsigned long long>(it.gather_tasks),
                     it.compute_seconds, it.gather_seconds,

@@ -40,6 +40,7 @@ struct IterationStats {
   uint64_t messages_produced = 0;  // message tables registered this round
   uint64_t messages_consumed = 0;  // message tables read by Gathers
   uint64_t partitions_skipped = 0; // AsyncP partitions skipped as idle
+  uint64_t keys_driven = 0;        // keys the single-threaded step recomputed
   double seconds = 0;              // wall time of the whole round
 };
 

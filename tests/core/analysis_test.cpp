@@ -48,6 +48,50 @@ TEST(Analysis, DescendantQueryIsParallelizable) {
   EXPECT_EQ(a.aggregate, sql::AggFunc::kMin);
 }
 
+TEST(Analysis, MinMaxPredicateAndLeftmostPrimary) {
+  EXPECT_TRUE(Analyze(workloads::DescendantQuery(0)).IsMinMax());
+  EXPECT_TRUE(Analyze(workloads::ConnectedComponentsQuery()).IsMinMax());
+  const auto pr = Analyze(workloads::PageRankQuery(3));
+  EXPECT_FALSE(pr.IsMinMax());
+  EXPECT_TRUE(pr.primary_leftmost);
+  // R joined on the right of the bridging relation: still the analyzable
+  // shape, but a filter on R's key no longer commutes with the joins.
+  const auto mid_first = Analyze(
+      "WITH ITERATIVE r (k, d) AS (SELECT 1, 0.5 ITERATE "
+      "SELECT r.k, MAX(s.d) FROM e JOIN r ON r.k = e.dst "
+      "JOIN r AS s ON s.k = e.src GROUP BY r.k UNTIL 3 ITERATIONS) "
+      "SELECT * FROM r");
+  ASSERT_TRUE(mid_first.parallelizable) << mid_first.reason;
+  EXPECT_TRUE(mid_first.IsMinMax());
+  EXPECT_FALSE(mid_first.primary_leftmost);
+}
+
+TEST(Analysis, KeyQualifiedWithTheSelfJoinFallsBack) {
+  // Self.k names the neighbour's key, not R's: grouping or echoing it is a
+  // different query from the one the runners assume.
+  for (const char* select_group :
+       {"SELECT s.k, MIN(s.d) FROM r LEFT JOIN e ON r.k = e.dst "
+        "LEFT JOIN r AS s ON s.k = e.src GROUP BY r.k",
+        "SELECT r.k, MIN(s.d) FROM r LEFT JOIN e ON r.k = e.dst "
+        "LEFT JOIN r AS s ON s.k = e.src GROUP BY s.k"}) {
+    const auto a =
+        Analyze(std::string("WITH ITERATIVE r (k, d) AS (SELECT 1, 0.5 "
+                            "ITERATE ") +
+                select_group + " UNTIL 3 ITERATIONS) SELECT * FROM r");
+    EXPECT_FALSE(a.parallelizable) << select_group;
+  }
+}
+
+TEST(Analysis, LimitInTheStepFallsBack) {
+  const auto a = Analyze(
+      "WITH ITERATIVE r (k, d) AS (SELECT 1, 0.5 ITERATE "
+      "SELECT r.k, MIN(s.d) FROM r LEFT JOIN e ON r.k = e.dst "
+      "LEFT JOIN r AS s ON s.k = e.src GROUP BY r.k LIMIT 5 "
+      "UNTIL 3 ITERATIONS) SELECT * FROM r");
+  EXPECT_FALSE(a.parallelizable);
+  EXPECT_NE(a.reason.find("LIMIT"), std::string::npos);
+}
+
 TEST(Analysis, NoAggregateFallsBack) {
   const auto a = Analyze(
       "WITH ITERATIVE r (k, v) AS (SELECT 1, 2 ITERATE "

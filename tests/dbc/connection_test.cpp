@@ -456,6 +456,35 @@ TEST_F(DbcTest, ConnectionMemoryLimitAbortsOversizedStatements) {
   EXPECT_EQ(conn->ExecuteQuery(big).rows[0][0].as_int(), 128 * 128 * 128);
 }
 
+TEST_F(DbcTest, ChargesBelowOneFlushBatchAreCheckedBeforeWriting) {
+  auto conn = Connect();
+  conn->Execute("CREATE UNLOGGED TABLE nums (id BIGINT PRIMARY KEY)");
+  for (int i = 0; i < 64; ++i) {
+    conn->AddBatch("INSERT INTO nums VALUES (" + std::to_string(i) + ")");
+  }
+  conn->ExecuteBatch();
+  conn->Execute("CREATE UNLOGGED TABLE sink (n BIGINT)");
+
+  // A 64x64x64 cross join keeps its inner join as 4096 row views: 65,536 B
+  // of part pointers, plus the scans' view lists, is over a 64 KiB budget
+  // by less than one 32 KiB charge-flush batch. The read phase ends with
+  // a flush, so both statements fail and the INSERT writes nothing.
+  const std::string big =
+      "SELECT COUNT(*) FROM nums AS a, nums AS b, nums AS c";
+  auto budgeted = DriverManager::GetConnection(
+      "minidb://" + host_ + "/db?latency_us=0&memory_limit_bytes=65536");
+  EXPECT_THROW(budgeted->ExecuteQuery(big), QuotaExceededError);
+  EXPECT_THROW(budgeted->ExecuteUpdate("INSERT INTO sink " + big),
+               QuotaExceededError);
+  EXPECT_EQ(
+      conn->ExecuteQuery("SELECT COUNT(*) FROM sink").rows[0][0].as_int(), 0);
+  EXPECT_EQ(budgeted->ExecuteQuery("SELECT COUNT(*) FROM nums")
+                .rows[0][0]
+                .as_int(),
+            64);
+  EXPECT_EQ(conn->ExecuteQuery(big).rows[0][0].as_int(), 64 * 64 * 64);
+}
+
 TEST_F(DbcTest, OpenConnectionsAreCounted) {
   auto& db = *server_.FindDatabase("db");
   const int base = db.open_connections();

@@ -272,6 +272,100 @@ TEST_P(KeyPathDifferential, UpdateFromMatchesAcrossPipelines) {
   }
 }
 
+/// Runs `statements` against a 400-row target `t` (INT64 primary key) and
+/// a 400-row `u` whose DOUBLE key column has duplicates and NULLs under a
+/// secondary index, with a small source `s` (duplicate, NULL, DOUBLE and
+/// TEXT keys). Returns the affected counts, both targets in storage order
+/// with each value's type, and (through `index_merges`) how many merges
+/// probed the target index.
+std::string ProbeMergeOutcome(const char* profile, bool fused, bool vectorized,
+                              const std::vector<std::string>& statements,
+                              size_t* index_merges) {
+  Database db("probe", EngineProfile::ByName(profile));
+  Executor exec(db);
+  db.set_fused_enabled(fused);
+  db.set_vectorized_enabled(vectorized);
+  exec.ExecuteSql("CREATE TABLE t (id BIGINT PRIMARY KEY, v DOUBLE PRECISION, "
+                  "n BIGINT)");
+  exec.ExecuteSql("CREATE TABLE u (id DOUBLE PRECISION, v DOUBLE PRECISION)");
+  exec.ExecuteSql("CREATE INDEX u_id ON u (id)");
+  for (int i = 0; i < 400; ++i) {
+    const std::string k = std::to_string(i);
+    exec.ExecuteSql("INSERT INTO t VALUES (" + k + ", " + k + ".5, " +
+                    std::to_string(i % 4) + ")");
+    exec.ExecuteSql("INSERT INTO u VALUES (" +
+                    (i % 37 == 5 ? std::string("NULL")
+                                 : std::to_string(i % 200) + ".0") +
+                    ", " + k + ".25)");
+  }
+  exec.ExecuteSql("CREATE TABLE s (id BIGINT, v DOUBLE PRECISION, n BIGINT)");
+  for (const char* row :
+       {"(7, 1.5, 0)", "(300, 2.5, 3)", "(7, 3.5, 2)", "(NULL, 4.5, 2)",
+        "(0, 5.5, 1)", "(399, 6.5, 2)", "(300, 7.5, 2)", "(5, 8.5, 3)",
+        "(NULL, 9.5, 1)", "(42, 10.5, 0)", "(7, 11.5, 3)",
+        "(1000, 12.5, 1)"}) {
+    exec.ExecuteSql(std::string("INSERT INTO s VALUES ") + row);
+  }
+  const auto dump = [&](const char* table) {
+    std::string out;
+    for (const Row& row : exec.ExecuteSql(std::string("SELECT * FROM ") +
+                                          table).rows) {
+      for (const Value& value : row) {
+        out += std::string(value.is_int() ? "i" : "") + value.ToString() + "|";
+      }
+      out += "\n";
+    }
+    return out;
+  };
+  std::string outcome;
+  *index_merges = 0;
+  for (const std::string& sql : statements) {
+    try {
+      outcome += std::to_string(exec.ExecuteSql(sql).affected_rows) + ";";
+      *index_merges += exec.last_engine_counters().index_merges;
+    } catch (const Error& e) {
+      outcome += std::string("threw:") + e.what() + ";";
+    }
+  }
+  return outcome + "\n" + dump("t") + dump("u");
+}
+
+TEST_P(KeyPathDifferential, SmallSourceMergesProbeTheTargetIndex) {
+  const std::vector<std::vector<std::string>> scripts = {
+      // Duplicate source keys: the first match wins; NULL keys and a key
+      // the target lacks match nothing.
+      {"UPDATE t SET v = s.v FROM s WHERE t.id = s.id",
+       "UPDATE t SET v = s.v, n = s.n FROM s WHERE s.id = t.id AND s.n > 1"},
+      // DOUBLE keys (1.0 matches 1, -0.0 matches 0) and a TEXT key after
+      // the INT64 ones; the target key turns DOUBLE for another merge.
+      {"UPDATE t SET v = m.v FROM (SELECT id, v FROM s UNION ALL SELECT "
+       "1.0, 20.5 UNION ALL SELECT -0.0, 21.5 UNION ALL SELECT 'x', 0.0) "
+       "AS m WHERE t.id = m.id",
+       "UPDATE u SET v = s.v FROM s WHERE u.id = s.id",
+       "UPDATE u SET v = m.v FROM (SELECT id * 1.0 AS id, v + 1.0 AS v "
+       "FROM s WHERE n > 1) AS m WHERE m.id = u.id AND m.v > 4"},
+      // A source of NULL keys only.
+      {"DELETE FROM s WHERE id IS NOT NULL",
+       "UPDATE t SET v = s.v FROM s WHERE t.id = s.id",
+       "UPDATE u SET v = s.v FROM s WHERE u.id = s.id"},
+  };
+  for (const auto& script : scripts) {
+    size_t reference_probes = 0;
+    const std::string reference =
+        ProbeMergeOutcome(GetParam(), /*fused=*/false, /*vectorized=*/false,
+                          script, &reference_probes);
+    EXPECT_EQ(reference_probes, 0u) << "the reference pipeline scans";
+    for (const bool vectorized : {true, false}) {
+      size_t probes = 0;
+      EXPECT_EQ(ProbeMergeOutcome(GetParam(), true, vectorized, script,
+                                  &probes),
+                reference)
+          << script.back();
+      EXPECT_GT(probes, 0u) << script.back();
+    }
+  }
+}
+
 // The table itself against std::unordered_map: extremes, keys equal in
 // their low 32 bits, keys equal in their high bits, and growth.
 TEST(IntKeyTable, AgreesWithUnorderedMap) {

@@ -36,6 +36,7 @@ void FillSample(Recorder& rec) {
   r2.compute_tasks = 8;
   r2.gather_tasks = 8;
   r2.partitions_skipped = 3;
+  r2.keys_driven = 57;
   r2.seconds = 0.5;
   rec.RecordIteration(r2);
 
@@ -80,6 +81,7 @@ TEST(ExportersTest, JsonLinesRoundTripsThroughReader) {
   EXPECT_DOUBLE_EQ(rounds[0].barrier_wait_seconds, 0.0625);
   EXPECT_EQ(rounds[0].messages_produced, 6u);
   EXPECT_EQ(rounds[1].partitions_skipped, 3u);
+  EXPECT_EQ(rounds[1].keys_driven, 57u);
   EXPECT_DOUBLE_EQ(rounds[1].seconds, 0.5);
 
   const auto spans = parsed.SpansSnapshot();
@@ -145,6 +147,8 @@ TEST(ExportersTest, SummaryRendersRoundsAndCounters) {
   const std::string text = Summary(rec);
   // One line per round with its round number, plus the attributed counters.
   EXPECT_NE(text.find("round"), std::string::npos);
+  EXPECT_NE(text.find("keys"), std::string::npos);
+  EXPECT_NE(text.find(" 57 "), std::string::npos);  // round 2's keys_driven
   EXPECT_NE(text.find("dbc.round_trips"), std::string::npos);
   EXPECT_NE(text.find("minidb.lock_wait_seconds"), std::string::npos);
   EXPECT_NE(text.find("42"), std::string::npos);
